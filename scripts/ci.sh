@@ -7,7 +7,8 @@
 #   scripts/ci.sh [--compiler gcc|clang] [--config Release|Sanitize]
 #                 [--build-dir DIR] [--build-only] [--bench-only]
 #                 [--train-only] [--cert-only] [--mc-only] [--mc-rare-only]
-#                 [--fault-only] [--serve-only] [--format-only]
+#                 [--fault-only] [--serve-only] [--perfbench-only]
+#                 [--format-only]
 #
 #   build+test   configure with -Werror, build everything, ctest twice:
 #                once as built (AVX2 dispatch on capable hosts) and once
@@ -51,6 +52,10 @@
 #                passing check_bench_json.py --self, and the
 #                malformed-request error path (garbage on --in must exit
 #                nonzero with an oic_serve: diagnostic)
+#   perfbench    build the repo benchmark (perfbench/), run its self-tests,
+#                then 1 s acc-sweep and drl-campaign runs; each must report
+#                "correct": true with 0 failed (canary digests and rerun
+#                bit-identity checks passed)
 #   format       clang-format --dry-run -Werror over src/ tests/ bench/
 #                tools/ (blocking; skipped with a warning when clang-format
 #                is absent)
@@ -72,6 +77,7 @@ do_mc=1
 do_mcrare=1
 do_fault=1
 do_serve=1
+do_perfbench=1
 do_format=1
 
 while [[ $# -gt 0 ]]; do
@@ -83,23 +89,25 @@ while [[ $# -gt 0 ]]; do
     --build-dir) build_dir="$2"; shift 2 ;;
     --build-dir=*) build_dir="${1#*=}"; shift ;;
     --build-only) do_bench=0; do_train=0; do_cert=0; do_mc=0; do_mcrare=0
-                  do_fault=0; do_serve=0; do_format=0; shift ;;
+                  do_fault=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --bench-only) do_build=0; do_train=0; do_cert=0; do_mc=0; do_mcrare=0
-                  do_fault=0; do_serve=0; do_format=0; shift ;;
+                  do_fault=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --train-only) do_build=0; do_bench=0; do_cert=0; do_mc=0; do_mcrare=0
-                  do_fault=0; do_serve=0; do_format=0; shift ;;
+                  do_fault=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --cert-only) do_build=0; do_bench=0; do_train=0; do_mc=0; do_mcrare=0
-                 do_fault=0; do_serve=0; do_format=0; shift ;;
+                 do_fault=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --mc-only) do_build=0; do_bench=0; do_train=0; do_cert=0; do_mcrare=0
-               do_fault=0; do_serve=0; do_format=0; shift ;;
+               do_fault=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --mc-rare-only) do_build=0; do_bench=0; do_train=0; do_cert=0; do_mc=0
-                    do_fault=0; do_serve=0; do_format=0; shift ;;
+                    do_fault=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --fault-only) do_build=0; do_bench=0; do_train=0; do_cert=0; do_mc=0
-                  do_mcrare=0; do_serve=0; do_format=0; shift ;;
+                  do_mcrare=0; do_serve=0; do_perfbench=0; do_format=0; shift ;;
     --serve-only) do_build=0; do_bench=0; do_train=0; do_cert=0; do_mc=0
-                  do_mcrare=0; do_fault=0; do_format=0; shift ;;
+                  do_mcrare=0; do_fault=0; do_perfbench=0; do_format=0; shift ;;
+    --perfbench-only) do_build=0; do_bench=0; do_train=0; do_cert=0; do_mc=0
+                      do_mcrare=0; do_fault=0; do_serve=0; do_format=0; shift ;;
     --format-only) do_build=0; do_bench=0; do_train=0; do_cert=0; do_mc=0
-                   do_mcrare=0; do_fault=0; do_serve=0; shift ;;
+                   do_mcrare=0; do_fault=0; do_serve=0; do_perfbench=0; shift ;;
     *) echo "ci.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
 done
@@ -454,6 +462,31 @@ EOF
     exit 1
   }
   echo "serve smoke: malformed streams diagnose and exit nonzero"
+fi
+
+if [[ ${do_perfbench} -eq 1 ]]; then
+  echo "=== perfbench smoke: self-tests + acc-sweep / drl-campaign correctness ==="
+  # Configured exactly as perfbench/run.py configures it, so run.py reuses
+  # this build.  Short runs: timings are meaningless here; what must hold
+  # is every canary digest and rerun bit-identity check behind "correct".
+  bench_build="${repo_root}/.bench_build"
+  cmake -S "${repo_root}/perfbench" -B "${bench_build}" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "${bench_build}" -j"$(nproc)"
+  "${bench_build}/perfbench_selftest"
+  for workload in acc-sweep drl-campaign; do
+    python3 "${repo_root}/perfbench/run.py" --workload "${workload}" --seed 1 \
+      --seconds 1 --trace 0 >"${bench_build}/ci-${workload}.out"
+    python3 - "${workload}" "${bench_build}/ci-${workload}.out" <<'EOF'
+import json, sys
+workload, path = sys.argv[1], sys.argv[2]
+with open(path) as f:
+    doc = json.loads(f.read().strip().splitlines()[-1])
+if doc.get("correct") is not True or doc.get("failed") != 0:
+    sys.exit(f"perfbench smoke: {workload} reported correct={doc.get('correct')} "
+             f"failed={doc.get('failed')}")
+print(f"perfbench smoke: {workload} correct, {doc['attempted']} attempted, 0 failed")
+EOF
+  done
 fi
 
 if [[ ${do_format} -eq 1 ]]; then

@@ -105,6 +105,11 @@ class TubeMpc : public Controller {
   /// Diagnostics of the last successful control() call.
   const MpcSolveInfo& last_solve() const { return last_; }
 
+  /// Warm-path solver-health counters, cumulative since construction (or
+  /// copy/assignment); reset_solver() does not clear them.  All zero
+  /// unless config().warm_start.
+  const lp::WarmCounters& solver_counters() const { return warm_.counters; }
+
   /// The underlying plant model.
   const AffineLTI& system() const { return sys_; }
 

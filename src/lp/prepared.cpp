@@ -1,5 +1,6 @@
 #include "lp/prepared.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -513,13 +514,37 @@ Result PreparedProblem::extract(SolverWorkspace& ws) const {
 }
 
 void PreparedProblem::transpose_into(SolverWorkspace& ws) const {
-  // Row-major ws.a -> column-major ws.at (column j occupies
-  // [j*m_, (j+1)*m_)).  Runs only on the rare true-cold transitions; the
-  // hot seed restarts copy the pre-transposed seed_at_ directly.
-  ws.at.resize(n_ * m_);
+  // Row-major ws.a -> compact column-major ws.at.  Runs only when a seed is
+  // built and on the rare two-phase colds; the hot seed restarts copy the
+  // pre-classified seed directly.  A column is implicit iff it is basic and
+  // holds exactly 1.0 at its basic row and +0.0 (bitwise) everywhere else;
+  // phase-1 drive-out pivots can leave a basic column that misses this by
+  // round-off, and such a column keeps a slot.
+  constexpr std::uint32_t kUnassigned = 0x7fffffffu;
+  ws.slot.assign(n_, kUnassigned);
+  for (std::size_t i = 0; i < m_; ++i) {
+    ws.slot[ws.basis[i]] = SolverWorkspace::kImplicit | static_cast<std::uint32_t>(i);
+  }
   for (std::size_t i = 0; i < m_; ++i) {
     const double* row = &ws.a[i * n_];
-    for (std::size_t j = 0; j < n_; ++j) ws.at[j * m_ + i] = row[j];
+    for (std::size_t j = 0; j < n_; ++j) {
+      if (ws.slot[j] == kUnassigned) continue;
+      const double unit = ws.slot[j] == (SolverWorkspace::kImplicit | i) ? 1.0 : 0.0;
+      if (row[j] != unit || std::signbit(row[j])) ws.slot[j] = kUnassigned;
+    }
+  }
+  ws.stored.clear();
+  for (std::size_t j = 0; j < n_; ++j) {
+    if (ws.slot[j] != kUnassigned) continue;
+    ws.slot[j] = static_cast<std::uint32_t>(ws.stored.size());
+    ws.stored.push_back(static_cast<std::uint32_t>(j));
+  }
+  ws.at.resize(ws.stored.size() * m_);
+  for (std::size_t i = 0; i < m_; ++i) {
+    const double* row = &ws.a[i * n_];
+    for (std::size_t s = 0; s < ws.stored.size(); ++s) {
+      ws.at[s * m_ + i] = row[ws.stored[s]];
+    }
   }
 }
 
@@ -531,10 +556,12 @@ void PreparedProblem::build_seed(SolverWorkspace& ws, const SimplexOptions& opt)
   ws.basis = seed_src_basis_;
   const Result r = run_phases(ws, opt);
   if (r.status != Status::kOptimal) return;
-  // Store the canonical optimum pre-transposed: every restart then copies
-  // straight into the column-major working tableau.
+  // Store the canonical optimum compact: every restart then copies only the
+  // stored slots straight into the working tableau.
   transpose_into(ws);
   seed_at_ = ws.at;
+  seed_slot_ = ws.slot;
+  seed_stored_ = ws.stored;
   seed_rhs_ = ws.rhs;
   seed_z_ = ws.z;
   seed_basis_ = ws.basis;
@@ -579,12 +606,16 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
       // point depends only on the problem structure, never on solve
       // history -- every copy of the problem lands on the same tableau.
       ws.at.assign(seed_at_.begin(), seed_at_.end());
+      ws.slot.assign(seed_slot_.begin(), seed_slot_.end());
+      ws.stored.assign(seed_stored_.begin(), seed_stored_.end());
       ws.rhs.assign(seed_rhs_.begin(), seed_rhs_.end());
       ws.z.assign(seed_z_.begin(), seed_z_.end());
       ws.basis.assign(seed_basis_.begin(), seed_basis_.end());
       warm.b.assign(seed_b_.begin(), seed_b_.end());
       warm.flip.assign(seed_flip_.begin(), seed_flip_.end());
+      ++warm.counters.seed_restarts;
     } else {
+      ++warm.counters.two_phase_colds;
       const Result r = solve(ws, opt);
       if (r.status != Status::kOptimal) return r;
       transpose_into(ws);
@@ -604,6 +635,15 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   }
 
   const linalg::detail::KernelTable& kt = linalg::detail::table();
+  constexpr std::uint32_t kImplicit = SolverWorkspace::kImplicit;
+  const std::size_t m = m_;
+  double* const at = ws.at.data();
+  std::uint32_t* const slot = ws.slot.data();
+  std::vector<std::uint32_t>& stored = ws.stored;
+  // Scratch column: a written-out implicit unit column for the rhs update,
+  // then the entering column's copy during pivots.
+  ws.col.resize(m);
+  double* const scratch = ws.col.data();
 
   // ---- Rhs update in the carried basis ----
   // The tableau rows keep the orientation they had at snapshot time; a row
@@ -612,9 +652,12 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   // unit column -- the one that carried +1 at snapshot time: the slack for
   // an effectively-<= row, the artificial for >= and equality rows -- holds
   // the matching column of B^-1, so the basic solution shifts by
-  // B^-1 e_r * delta_r.  In the transposed layout that column is one
-  // contiguous streaming axpy.
-  for (std::size_t r = 0; r < m_; ++r) {
+  // B^-1 e_r * delta_r.  In the column-major layout that column is one
+  // contiguous streaming axpy; an implicit (basic, exact unit) column is
+  // written out into the scratch first so the rhs sees the identical dense
+  // update, signed zeros included.
+  bool scratch_zeroed = false;
+  for (std::size_t r = 0; r < m; ++r) {
     const double oriented =
         (rows_[r].flipped ? 1 : 0) == warm.flip[r] ? rhs_[r] : -rhs_[r];
     const double delta = oriented - warm.b[r];
@@ -622,20 +665,30 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
     const Relation eff_snap = effective_relation(rows_[r].rel, warm.flip[r] != 0);
     const std::size_t unit =
         eff_snap == Relation::kLessEq ? rows_[r].slack_col : rows_[r].art_col;
-    kt.lp_row_add_scaled(ws.rhs.data(), &ws.at[unit * m_], delta, m_);
+    const std::uint32_t su = slot[unit];
+    if (su & kImplicit) {
+      if (!scratch_zeroed) std::fill(scratch, scratch + m, 0.0);
+      scratch_zeroed = true;
+      const std::size_t row = su & ~kImplicit;
+      scratch[row] = 1.0;
+      kt.lp_row_add_scaled(ws.rhs.data(), scratch, delta, m);
+      scratch[row] = 0.0;
+    } else {
+      kt.lp_row_add_scaled(ws.rhs.data(), &at[su * m], delta, m);
+    }
     warm.b[r] = oriented;
   }
 
   // ---- Dual simplex: restore primal feasibility, keep dual feasibility ----
-  // Runs entirely on the transposed tableau: the rank-1 pivot update
-  // becomes one contiguous streaming axpy per pivot-row support column
-  // (the pivot row is ~10% dense on the MPC tableaus) instead of a
-  // scattered read-modify-write walk over every touched row -- the memory
-  // pattern the row-major layout cannot provide.  Element-for-element the
-  // update performs the identical single mul+sub on the identical
-  // operands, so the transposition changes no bits (docs/perf.md).
+  // Runs entirely on the compact column-major tableau: the rank-1 pivot
+  // update becomes one contiguous streaming axpy per pivot-row support
+  // column (the pivot row is ~10% dense on the MPC tableaus), restricted to
+  // the entering column's nonzero row span.  Element-for-element the update
+  // performs the identical single mul+sub on the identical operands, and
+  // the rows it skips would have been exact no-ops, so neither the layout
+  // nor the span changes any bit (docs/perf.md).
   const unsigned char* blocked = any_artificial_ ? blocked0_.data() : nullptr;
-  const std::size_t max_dual_iters = m_ + 200;
+  const std::size_t max_dual_iters = m + 200;
   ws.nz.resize(n_);
   ws.nzv.resize(n_);
   std::uint32_t* nzi = ws.nz.data();
@@ -644,7 +697,7 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
   for (std::size_t iter = 0; iter <= max_dual_iters; ++iter) {
     // Leaving row: most negative basic value (argmin kernel == the
     // sequential scan seeded at -1e-9).
-    const std::ptrdiff_t lv = kt.lp_argmin(ws.rhs.data(), m_, -1e-9);
+    const std::ptrdiff_t lv = kt.lp_argmin(ws.rhs.data(), m, -1e-9);
     if (lv < 0) {
       ok = true;
       break;
@@ -653,14 +706,30 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
     if (iter == max_dual_iters) break;  // stalled; fall back to a cold solve
 
     // Pack the leaving row's nonzeros once (fixed-stride gather across the
-    // columns); the dual ratio test and the pivot both run over the
-    // packed support.
+    // stored columns); the dual ratio test and the pivot both run over the
+    // packed support.  Of the implicit columns only the leaving one is
+    // nonzero here (its 1.0); it goes in at its sorted position, so the
+    // support reads exactly as a scan over every column would.
+    const std::uint32_t jl = static_cast<std::uint32_t>(ws.basis[leave]);
+    const bool leave_implicit =
+        slot[jl] == (kImplicit | static_cast<std::uint32_t>(leave));
     std::size_t nnz = 0;
-    for (std::size_t j = 0; j < n_; ++j) {
-      const double v = ws.at[j * m_ + leave];
-      if (v == 0.0) continue;
-      nzi[nnz] = static_cast<std::uint32_t>(j);
+    bool jl_packed = !leave_implicit;
+    for (const std::uint32_t j : stored) {
+      if (!jl_packed && j > jl) {
+        nzi[nnz] = jl;
+        nzv[nnz] = 1.0;
+        ++nnz;
+        jl_packed = true;
+      }
+      const double v = at[slot[j] * m + leave];
+      nzi[nnz] = j;  // branch-free pack: a zero is overwritten by the next entry
       nzv[nnz] = v;
+      nnz += v != 0.0;
+    }
+    if (!jl_packed) {
+      nzi[nnz] = jl;
+      nzv[nnz] = 1.0;
       ++nnz;
     }
 
@@ -668,7 +737,8 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
     // entries (artificials stay barred).  Strict improvement only:
     // near-ties keep the earlier (lowest) column, since the packed
     // support scans ascending -- a Bland-style bias that guards against
-    // dual cycling.
+    // dual cycling.  The only implicit entry is +1.0, so the entering
+    // column is always a stored one.
     std::size_t enter = n_;
     double best_ratio = kInf;
     for (std::size_t k = 0; k < nnz; ++k) {
@@ -691,14 +761,33 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
       // two-phase path would accept.  (Infeasible queries are rare; the
       // extra cold solve is noise.  allow_seed=false keeps the retry from
       // re-anchoring on the seed and looping.)
+      ++warm.counters.infeasible_fallbacks;
       warm.valid = false;
       return solve_warm_inner(ws, warm, opt, /*allow_seed=*/false);
     }
+    ++warm.counters.dual_pivots;
 
     // --- Pivot over the packed support ---
-    // The live entering column holds every row's update factor; it is read
-    // by all the axpys below and zeroed only afterwards.
-    const double* ecol = &ws.at[enter * m_];
+    // Row span [lo, hi) of the entering column's nonzeros (the pivot row is
+    // inside it).  Outside the span every update factor is +0.0, so the
+    // classical update there is an exact no-op and is skipped.
+    const std::uint32_t es = slot[enter];
+    double* const eslot = &at[es * m];
+    std::size_t lo = 0, hi = m;
+    while (eslot[lo] == 0.0) ++lo;
+    while (eslot[hi - 1] == 0.0) --hi;
+    // The entering column becomes the implicit unit e_leave, freeing its
+    // slot.  An implicit leaving column needs storage from now on: it takes
+    // the freed slot, initialized to e_leave (+0.0 outside the span
+    // already), and the entering column's factors are read from a copy.
+    const double* ecol = eslot;
+    if (leave_implicit) {
+      std::copy(eslot + lo, eslot + hi, scratch + lo);
+      ecol = scratch;
+      std::fill(eslot + lo, eslot + hi, 0.0);
+      eslot[leave] = 1.0;
+      slot[jl] = es;
+    }
     const double piv = ecol[leave];
     const double inv = 1.0 / piv;
     for (std::size_t k = 0; k < nnz; ++k) {
@@ -709,42 +798,51 @@ Result PreparedProblem::solve_warm_inner(SolverWorkspace& ws, WarmState& warm,
       }
       const double sv = nzv[k] * inv;
       nzv[k] = sv;
-      double* cj = &ws.at[j * m_];
+      double* cj = &at[slot[j] * m];
       // Classical update: cj[i] -= f_i * sv for every row i != leave with
-      // f_i != 0.  The axpy also runs the skipped cases -- f_i == 0 rows
-      // (subtracting sv*0.0 == +-0.0 is an exact no-op on a -0.0-free
-      // tableau) and the pivot row (overwritten right after with the
-      // scaled value, exactly what the row-major scale step stored).
-      kt.lp_row_sub_scaled(cj, ecol, sv, m_);
+      // f_i != 0.  The axpy also runs the skipped cases inside the span --
+      // f_i == 0 rows (subtracting sv*0.0 == +-0.0 is an exact no-op on a
+      // -0.0-free tableau) and the pivot row (overwritten right after with
+      // the scaled value, exactly what the row-major scale step stored).
+      kt.lp_row_sub_scaled(cj + lo, ecol + lo, sv, hi - lo);
       cj[leave] = sv;
     }
-    ws.rhs[leave] *= inv;
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (i == leave) continue;
+    // Rows with f == 0 keep their value untouched (no clamp either); the
+    // select keeps this loop free of data-dependent branches.
+    double* const rhs = ws.rhs.data();
+    const double rl = rhs[leave] * inv;
+    for (std::size_t i = lo; i < hi; ++i) {
       const double f = ecol[i];
-      if (f == 0.0) continue;  // untouched rows must NOT see the clamp
-      ws.rhs[i] -= f * ws.rhs[leave];
-      if (ws.rhs[i] < 0.0 && ws.rhs[i] > -1e-11) ws.rhs[i] = 0.0;
+      double v = rhs[i] - f * rl;
+      if (v < 0.0 && v > -1e-11) v = 0.0;
+      rhs[i] = f != 0.0 ? v : rhs[i];
     }
+    rhs[leave] = rl;
     const double fz = ws.z[enter];
     if (fz != 0.0) {
       for (std::size_t k = 0; k < nnz; ++k) ws.z[nzi[k]] -= fz * nzv[k];
       ws.z[enter] = 0.0;
     }
-    // The entering column becomes a unit column: every row the update
-    // touched (f != 0) is explicitly zeroed, untouched rows already held
-    // +0.0, and the pivot row gets the clean 1.0.
-    {
-      double* ce = &ws.at[enter * m_];
-      for (std::size_t i = 0; i < m_; ++i) ce[i] = 0.0;
-      ce[leave] = 1.0;
-    }
+    // The entering column is now exactly e_leave: implicit.  The stored
+    // list drops it and, when the leaving column took its slot, gains that
+    // one in its place, moved to its sorted position (one insertion step).
+    slot[enter] = kImplicit | static_cast<std::uint32_t>(leave);
     ws.basis[leave] = enter;
+    std::size_t p = 0;
+    while (stored[p] != enter) ++p;
+    if (!leave_implicit) {
+      stored.erase(stored.begin() + static_cast<std::ptrdiff_t>(p));
+    } else {
+      for (; p + 1 < stored.size() && stored[p + 1] < jl; ++p) stored[p] = stored[p + 1];
+      for (; p > 0 && stored[p - 1] > jl; --p) stored[p] = stored[p - 1];
+      stored[p] = jl;
+    }
   }
 
   if (!ok) {
     // Dual iteration stalled (degenerate cycling); redo a cold solve
     // through the two-phase path (not the seed, which could stall again).
+    ++warm.counters.stall_fallbacks;
     warm.valid = false;
     return solve_warm_inner(ws, warm, opt, /*allow_seed=*/false);
   }

@@ -22,11 +22,14 @@
 ///     declare such rows "dynamic" at construction to reserve the extra
 ///     slack+artificial columns up front).
 ///
-/// The warm continuation (solve_warm) runs on a TRANSPOSED (column-major)
-/// copy of the working tableau: the dual pivot's rank-1 update touches only
-/// the pivot row's support columns (~10% dense on the MPC tableaus), and in
-/// column-major storage each of those is one contiguous streaming axpy
-/// instead of a scattered read-modify-write walk over every touched row.
+/// The warm continuation (solve_warm) runs on a COMPACT column-major copy
+/// of the working tableau: the dual pivot's rank-1 update touches only the
+/// pivot row's support columns (~10% dense on the MPC tableaus), and in
+/// column-major storage each of those is one contiguous streaming axpy over
+/// the entering column's nonzero row span.  Basic columns that are exact
+/// unit vectors are not stored at all (on the MPC tableaus that is two
+/// thirds of the columns), so the leaving-row gather and every restart copy
+/// touch only the columns that carry information.
 /// Receding-horizon callers that re-solve the same structure thousands of
 /// times additionally call set_hot_rows: this snapshots the
 /// construction-time template as a canonical warm-start seed -- every
@@ -68,10 +71,29 @@ struct SolverWorkspace {
   std::vector<std::uint32_t> nz;
   std::vector<double> nzv;
 
-  /// Transposed (column-major) working tableau for the warm continuation:
-  /// column j occupies [j*m, (j+1)*m).  Maintained bit-exactly through
-  /// every dual pivot; refreshed from `a` on true-cold transitions.
+  /// Compact column-major working tableau for the warm continuation.
+  /// A basic column holding exactly 1.0 at its basic row and +0.0
+  /// everywhere else is implicit (no storage); every other column j owns
+  /// slot s = slot[j] at [s*m, (s+1)*m) of `at`.  An implicit column's
+  /// slot word is kImplicit | (its basic row).  `stored` lists the stored
+  /// columns in ascending index order.  Maintained bit-exactly through
+  /// every dual pivot; rebuilt from `a` on true-cold transitions.
+  static constexpr std::uint32_t kImplicit = 0x80000000u;
   std::vector<double> at;
+  std::vector<std::uint32_t> slot;
+  std::vector<std::uint32_t> stored;
+};
+
+/// Solver-health counters of the warm path (PreparedProblem::solve_warm).
+/// Diagnostics only: the solver never reads them back, so they cannot move
+/// a result bit.
+struct WarmCounters {
+  std::uint64_t seed_restarts = 0;    ///< cold path re-anchored on the seed
+  std::uint64_t two_phase_colds = 0;  ///< cold path ran both phases
+  std::uint64_t dual_pivots = 0;      ///< warm dual-simplex pivots
+  std::uint64_t stall_fallbacks = 0;  ///< dual iteration cap hit -> two-phase
+  /// Dual ratio test found no entering column -> two-phase confirm.
+  std::uint64_t infeasible_fallbacks = 0;
 };
 
 /// A Problem converted to standard form once, solvable many times.
@@ -134,6 +156,9 @@ class PreparedProblem {
     /// Identity of the PreparedProblem the snapshot belongs to; a warm
     /// state handed to a different problem instance falls back cold.
     std::uint64_t problem_id = 0;
+    /// Solver-health counters, cumulative over every solve_warm through
+    /// this state.
+    WarmCounters counters;
   };
 
   /// Solve like solve(), but when `warm` holds the optimum of a previous
@@ -222,10 +247,11 @@ class PreparedProblem {
   // Canonical template capture (freed once the seed is built).
   mutable std::vector<double> seed_src_a_, seed_src_rhs_;
   mutable std::vector<std::size_t> seed_src_basis_;
-  // Canonical optimum: transposed tableau/rhs/z/basis plus the pre-solve
-  // rhs+orientation it answers for (the warm snapshot every restart
-  // re-anchors on).
+  // Canonical optimum: compact tableau (slots, slot map, stored list)/
+  // rhs/z/basis plus the pre-solve rhs+orientation it answers for (the
+  // warm snapshot every restart re-anchors on).
   mutable std::vector<double> seed_at_, seed_rhs_, seed_z_, seed_b_;
+  mutable std::vector<std::uint32_t> seed_slot_, seed_stored_;
   mutable std::vector<std::size_t> seed_basis_;
   mutable std::vector<unsigned char> seed_flip_;
 

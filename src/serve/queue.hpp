@@ -53,8 +53,9 @@ class Channel {
   bool drain(std::vector<T>& out) {
     out.clear();
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
+    cv_.wait(lock, [&] { return closed_ || pending() > 0; });
+    if (pending() == 0) return false;
+    compact();
     out.swap(items_);
     return true;
   }
@@ -68,8 +69,9 @@ class Channel {
   DrainStatus drain_for(std::vector<T>& out, std::chrono::milliseconds timeout) {
     out.clear();
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, timeout, [&] { return closed_ || !items_.empty(); });
-    if (!items_.empty()) {
+    cv_.wait_for(lock, timeout, [&] { return closed_ || pending() > 0; });
+    if (pending() > 0) {
+      compact();
       out.swap(items_);
       return DrainStatus::kItems;
     }
@@ -80,12 +82,16 @@ class Channel {
   /// Returns false if the channel closed before all `n` were available; in
   /// that case neither the queue nor `out` is touched, so a caller that can
   /// tolerate partial delivery may still drain() the remainder.
+  /// Amortized O(n) whatever the backlog: the popped prefix is skipped by
+  /// advancing a head index, and compacted away only once it is at least
+  /// as long as what is still pending.
   bool pop_n(std::size_t n, std::vector<T>& out) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return closed_ || items_.size() >= n; });
-    if (items_.size() < n) return false;
-    for (std::size_t i = 0; i < n; ++i) out.push_back(std::move(items_[i]));
-    items_.erase(items_.begin(), items_.begin() + static_cast<long>(n));
+    cv_.wait(lock, [&] { return closed_ || pending() >= n; });
+    if (pending() < n) return false;
+    for (std::size_t i = 0; i < n; ++i) out.push_back(std::move(items_[head_ + i]));
+    head_ += n;
+    if (head_ >= pending()) compact();
     return true;
   }
 
@@ -104,9 +110,17 @@ class Channel {
   }
 
  private:
+  std::size_t pending() const { return items_.size() - head_; }
+  /// Drop the already-popped prefix [0, head_).
+  void compact() {
+    items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<T> items_;
+  std::vector<T> items_;  ///< pending items are [head_, size)
+  std::size_t head_ = 0;
   bool closed_ = false;
 };
 

@@ -1,12 +1,21 @@
 // Unit tests for the performance layer: workspace-reuse LP solving
-// (PreparedProblem / solve_warm), SupportSolver parity, the allocation-free
-// MLP forward pass, the WHistory ring, and the l1_ball dimension guard.
+// (PreparedProblem / solve_warm, the compact warm tableau's layout branches,
+// the pinned TubeMpc warm-sequence digests and solver counters),
+// SupportSolver parity, the allocation-free MLP forward pass, the WHistory
+// ring, and the l1_ball dimension guard.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/random.hpp"
+#include "control/tube_mpc.hpp"
 #include "core/w_history.hpp"
+#include "eval/harness.hpp"
+#include "eval/registry.hpp"
 #include "lp/prepared.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
@@ -200,6 +209,234 @@ TEST(PreparedProblem, WarmStateWithForeignWorkspaceFallsBackCold) {
   ASSERT_EQ(r1.status, oic::lp::Status::kOptimal);
   ASSERT_EQ(r2.status, oic::lp::Status::kOptimal);
   EXPECT_EQ(r1.objective, r2.objective);
+}
+
+/// A long seeded TubeMpc::control sequence on one registry plant, folded
+/// into an FNV-1a digest of every returned input and optimal cost (bit
+/// patterns).  Between solves the plant runs open loop for 1-8 steps on the
+/// solved input plan under the scenario's disturbance, so the warm path
+/// sees both consecutive and post-skip solves.  reset_solver() runs every
+/// 100 calls except across calls [400, 800), which is long enough to cross
+/// the scheduled refactorization; calls 150 and 1050 query a state far
+/// outside X, which must be rejected with NumericalError.
+std::uint64_t warm_sequence_digest(const char* plant_id, const char* scenario_id) {
+  constexpr std::size_t kCalls = 1200;
+  const oic::eval::ScenarioRegistry& registry = oic::eval::ScenarioRegistry::builtin();
+  const auto plant = registry.make_plant(plant_id);
+  const auto scenario = registry.make_scenario(plant_id, scenario_id);
+  Rng rng(0x5eedf00dull);
+  const oic::eval::CaseData data = oic::eval::make_case(*plant, scenario, rng, 4096);
+  const auto& sys = plant->system();
+  oic::control::TubeMpc& mpc = plant->rmpc();
+  mpc.reset_solver();
+
+  oic::Fnv1a h;
+  Vector x = data.x0;
+  Vector w(sys.nw());
+  std::size_t t = 0;
+  for (std::size_t call = 0; call < kCalls; ++call) {
+    if (call % 100 == 0 && (call < 400 || call >= 800)) mpc.reset_solver();
+    if (call == 150 || call == 1050) {
+      Vector far(sys.nx());
+      for (std::size_t i = 0; i < far.size(); ++i) {
+        far[i] = 1e4 * (1.0 + static_cast<double>(i));
+      }
+      EXPECT_THROW(mpc.control(far), oic::NumericalError) << plant_id << " " << call;
+      h.u64(0xbadull);
+      continue;
+    }
+    const Vector u = mpc.control(x);
+    for (std::size_t i = 0; i < u.size(); ++i) h.f64(u[i]);
+    h.f64(mpc.last_solve().cost);
+    const auto& plan = mpc.last_solve().planned_u;
+    const int gap = rng.uniform_int(1, 8);
+    for (int k = 0; k < gap; ++k, ++t) {
+      plant->signal_to_w(data.signal[t % data.signal.size()], w);
+      x = sys.step(x, plan[std::min<std::size_t>(k, plan.size() - 1)], w);
+    }
+  }
+  // The sequence must have reached every cold path it is meant to pin:
+  // 8 resets, one scheduled refactorization (call 556) and a restart after
+  // each rejected far state, whose rejection went through the dual ratio
+  // test's two-phase confirmation.
+  const oic::lp::WarmCounters& c = mpc.solver_counters();
+  EXPECT_EQ(c.seed_restarts, 11u) << plant_id;
+  EXPECT_EQ(c.infeasible_fallbacks, 2u) << plant_id;
+  EXPECT_EQ(c.two_phase_colds, 2u) << plant_id;
+  EXPECT_EQ(c.stall_fallbacks, 0u) << plant_id;
+  EXPECT_GT(c.dual_pivots, kCalls) << plant_id;
+  return h.value();
+}
+
+TEST(TubeMpcWarm, LongSequenceDigestIsPinned) {
+  // Pins the absolute warm-path decision stream through seed restarts,
+  // scheduled refactorizations, post-skip solves and infeasible-state
+  // rejections -- restart and refactor sequences far longer than the
+  // golden episodes reach.  Any change to the warm simplex that moves a
+  // single bit fails here, at every kernel ISA.
+  struct Case {
+    const char* plant;
+    const char* scenario;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"acc", "Fig.4", 0x091c8fdccfce44b3ull},
+      {"lane-keep", "sine", 0x0b9d12f91acd0ee7ull},
+      {"quad-alt", "sine", 0xbf8049184e825305ull},
+      {"toy2d", "sine", 0x583536f52de9580full},
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t d = warm_sequence_digest(c.plant, c.scenario);
+    EXPECT_EQ(d, c.digest) << c.plant << " digest " << std::hex << d;
+  }
+}
+
+TEST(TubeMpcWarm, SolverCountersTrackRestartsAndPivots) {
+  // A short drifting sequence on toy2d: the first call re-anchors on the
+  // canonical seed, calls 2..256 continue warm, and call 257 is the
+  // scheduled refactorization -- a second seed restart.
+  const oic::eval::ScenarioRegistry& registry = oic::eval::ScenarioRegistry::builtin();
+  const auto plant = registry.make_plant("toy2d");
+  const auto scenario = registry.make_scenario("toy2d", "sine");
+  Rng rng(41);
+  const oic::eval::CaseData data = oic::eval::make_case(*plant, scenario, rng, 300);
+  oic::control::TubeMpc& mpc = plant->rmpc();
+  const oic::lp::WarmCounters& c = mpc.solver_counters();
+  Vector x = data.x0;
+  Vector w(plant->system().nw());
+  for (std::size_t call = 1; call <= 257; ++call) {
+    const Vector u = mpc.control(x);
+    if (call == 1) {
+      EXPECT_EQ(c.seed_restarts, 1u);
+      EXPECT_EQ(c.two_phase_colds, 0u);
+    }
+    if (call == 256) {
+      EXPECT_EQ(c.seed_restarts, 1u);
+    }
+    plant->signal_to_w(data.signal[call], w);
+    x = plant->system().step(x, u, w);
+  }
+  EXPECT_EQ(c.seed_restarts, 2u);
+  EXPECT_EQ(c.two_phase_colds, 0u);
+  EXPECT_EQ(c.stall_fallbacks, 0u);
+  EXPECT_EQ(c.infeasible_fallbacks, 0u);
+  EXPECT_GT(c.dual_pivots, 0u);
+
+  // reset_solver() drops the basis, not the history; a copy starts fresh.
+  const std::uint64_t pivots = c.dual_pivots;
+  mpc.reset_solver();
+  mpc.control(x);
+  EXPECT_EQ(c.seed_restarts, 3u);
+  EXPECT_GE(c.dual_pivots, pivots);
+  const oic::control::TubeMpc copy(mpc);
+  EXPECT_EQ(copy.solver_counters().seed_restarts, 0u);
+  EXPECT_EQ(copy.solver_counters().dual_pivots, 0u);
+}
+
+/// True when some basic column of the warm tableau keeps a slot.
+bool has_stored_basic(const SolverWorkspace& ws) {
+  for (std::size_t j : ws.basis) {
+    if (!(ws.slot[j] & SolverWorkspace::kImplicit)) return true;
+  }
+  return false;
+}
+
+/// Warm and fresh solves of the same patched problem agree.
+void expect_matches_fresh(const PreparedProblem& prep, const oic::lp::Result& warm) {
+  SolverWorkspace ws;
+  const oic::lp::Result fresh = prep.solve(ws);
+  ASSERT_EQ(fresh.status, warm.status);
+  if (fresh.status != oic::lp::Status::kOptimal) return;
+  EXPECT_NEAR(fresh.objective, warm.objective, 1e-9);
+  for (std::size_t j = 0; j < fresh.x.size(); ++j) {
+    EXPECT_NEAR(fresh.x[j], warm.x[j], 1e-9);
+  }
+}
+
+/// Two equality rows at zero level that phase 1 leaves with basic
+/// artificials:  49 x0 - x1 - x2 = tA,  -49 x0 - x1 + x2 = tB  on [0, 10]^3.
+/// The drive-out pivot on x0 scales its row by 1/49, so x0 becomes basic
+/// with 49 * (1/49) = 1 - 2^-53 != 1.0: not an exact unit column.
+Problem drive_out_lp() {
+  Problem p(3);
+  for (std::size_t j = 0; j < 3; ++j) {
+    p.set_bounds(j, 0.0, 10.0);
+    p.set_objective_coeff(j, 1.0);
+  }
+  p.add_constraint(Vector{49.0, -1.0, -1.0}, Relation::kEqual, 0.0);
+  p.add_constraint(Vector{-49.0, -1.0, 1.0}, Relation::kEqual, 0.0);
+  return p;
+}
+
+TEST(WarmLayout, NonUnitBasicColumnStaysStored) {
+  for (const bool seeded : {false, true}) {
+    SCOPED_TRACE(seeded ? "seed restart" : "two-phase cold");
+    PreparedProblem prep(drive_out_lp());
+    if (seeded) prep.set_hot_rows({0, 1});
+    SolverWorkspace ws;
+    PreparedProblem::WarmState warm;
+    const oic::lp::Result r = prep.solve_warm(ws, warm);
+    EXPECT_TRUE(has_stored_basic(ws));
+    EXPECT_LT(ws.stored.size(), prep.num_cols());  // the rest are implicit
+    expect_matches_fresh(prep, r);
+  }
+}
+
+TEST(WarmLayout, StoredLeavingColumnReleasesTheEnteringSlot) {
+  // tA = -2 drives x0 = (tA - tB) / 98 negative: the dual pivot leaves the
+  // row of the stored (non-unit) x0 and enters x2.  With no implicit
+  // column to take over the entering column's slot, the stored set
+  // shrinks by one.
+  PreparedProblem prep(drive_out_lp());
+  SolverWorkspace ws;
+  PreparedProblem::WarmState warm;
+  prep.solve_warm(ws, warm);
+  ASSERT_TRUE(has_stored_basic(ws));
+  const std::size_t stored_before = ws.stored.size();
+  const std::uint64_t pivots_before = warm.counters.dual_pivots;
+  prep.set_rhs(0, -2.0);
+  const oic::lp::Result r = prep.solve_warm(ws, warm);
+  EXPECT_GT(warm.counters.dual_pivots, pivots_before);
+  EXPECT_EQ(warm.counters.two_phase_colds, 1u);  // only the first solve
+  EXPECT_LT(ws.stored.size(), stored_before);
+  EXPECT_TRUE(std::is_sorted(ws.stored.begin(), ws.stored.end()));
+  expect_matches_fresh(prep, r);
+  EXPECT_NEAR(r.x[2], 1.0, 1e-12);
+}
+
+TEST(WarmLayout, HotRowWithImplicitUnitColumn) {
+  // min -x0 + x1/2  s.t.  x0 <= 4,  x0 + x1 <= t (hot, dynamic)  on
+  // [0, 10]^2 (unique optimum x0 = min(4, t), x1 = 0).
+  // Standard-form columns: x0, x1 (0, 1), row 0's slack (2), row 1's
+  // slack and reserved artificial (3, 4), bound-row slacks (5, 6).  While
+  // t > 4 row 1 is slack and column 3 -- the unit column its rhs update
+  // reads -- is basic and implicit; t < 4 makes that slack leave.
+  Problem p(2);
+  p.set_objective_coeff(0, -1.0);
+  p.set_objective_coeff(1, 0.5);
+  p.set_bounds(0, 0.0, 10.0);
+  p.set_bounds(1, 0.0, 10.0);
+  p.add_constraint(Vector{1.0, 0.0}, Relation::kLessEq, 4.0);
+  p.add_constraint(Vector{1.0, 1.0}, Relation::kLessEq, 8.0);
+  for (const bool seeded : {false, true}) {
+    SCOPED_TRACE(seeded ? "seed restart" : "two-phase cold");
+    PreparedProblem prep(p, {1});
+    if (seeded) prep.set_hot_rows({1});
+    SolverWorkspace ws;
+    PreparedProblem::WarmState warm;
+    expect_matches_fresh(prep, prep.solve_warm(ws, warm));
+    double prev = 8.0;
+    for (const double t : {7.0, 5.5, 3.0, 6.0, 2.0}) {
+      SCOPED_TRACE(t);
+      const bool implicit = (ws.slot[3] & SolverWorkspace::kImplicit) != 0;
+      EXPECT_EQ(implicit, prev > 4.0);
+      prev = t;
+      prep.set_rhs(1, t);
+      const oic::lp::Result r = prep.solve_warm(ws, warm);
+      expect_matches_fresh(prep, r);
+      EXPECT_NEAR(r.objective, -std::min(4.0, t), 1e-12);
+    }
+  }
 }
 
 TEST(SupportSolver, MatchesFreshProblemAnswers) {

@@ -787,6 +787,40 @@ TEST(ServeQueue, PopNLeavesQueueAndOutIntactWhenClosedShort) {
   EXPECT_EQ(out2, (std::vector<int>{5, 7}));
 }
 
+TEST(ServeQueue, PopNDrainsALargeBacklogInOrder) {
+  // A response writer pops one batch at a time from a deep backlog; every
+  // pop must stay cheap (no front erase of the whole backlog) and the
+  // order must survive the head-index compaction, interleaved pushes
+  // included.  (Erasing the front on every pop would move about 2e10 ints
+  // over this loop.)
+  constexpr int kBacklog = 200000;
+  oic::serve::Channel<int> ch;
+  std::vector<int> batch(kBacklog);
+  for (int i = 0; i < kBacklog; ++i) batch[static_cast<std::size_t>(i)] = i;
+  ch.push_all(std::move(batch));
+  std::vector<int> out;
+  int next_push = kBacklog;
+  for (int i = 0; i < kBacklog; ++i) {
+    out.clear();
+    ASSERT_TRUE(ch.pop_n(1, out));
+    ASSERT_EQ(out, (std::vector<int>{i}));
+    if (i % 1000 == 0) ch.push(next_push++);
+  }
+  // The items pushed while draining follow, in order, through both pop_n
+  // and a final drain().
+  out.clear();
+  ASSERT_TRUE(ch.pop_n(2, out));
+  EXPECT_EQ(out, (std::vector<int>{kBacklog, kBacklog + 1}));
+  ch.close();
+  std::vector<int> rest;
+  ASSERT_TRUE(ch.drain(rest));
+  ASSERT_EQ(rest.size(), static_cast<std::size_t>(next_push - kBacklog - 2));
+  for (std::size_t k = 0; k < rest.size(); ++k) {
+    EXPECT_EQ(rest[k], kBacklog + 2 + static_cast<int>(k));
+  }
+  EXPECT_FALSE(ch.drain(rest));
+}
+
 TEST(ServeQueue, DrainForDeliversTimesOutAndDrainsClosed) {
   // The tick thread idles on drain_for instead of spinning: nothing
   // pending -> kTimeout at the cadence bound; pending items win over both
