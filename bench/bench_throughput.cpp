@@ -298,12 +298,11 @@ struct ServeBenchResult {
 };
 
 ServeBenchResult bench_serve(std::size_t sessions, std::size_t steps,
-                             std::size_t workers, std::uint64_t seed) {
+                             std::uint64_t seed) {
   const auto& registry = oic::eval::ScenarioRegistry::builtin();
   ServeBenchResult out;
 
   oic::serve::ServiceConfig cfg;
-  cfg.workers = workers;
   // Two tick shards: the bang-bang/burst policy mix below forms two
   // (plant, cert, policy) groups, so each fused pass genuinely splits.
   cfg.tick_workers = 2;
@@ -507,7 +506,7 @@ int main(int argc, char** argv) {
       std::max<std::size_t>(1, benchutil::flag(argc, argv, "serve-steps", 200));
   std::printf("=== Serve: batched monitor service, %zu concurrent sessions ===\n",
               serve_sessions);
-  const ServeBenchResult srv = bench_serve(serve_sessions, serve_steps, workers, seed);
+  const ServeBenchResult srv = bench_serve(serve_sessions, serve_steps, seed);
   std::printf("loadgen    : %zu sessions x %zu steps, %zu clients, %.2f s wall\n",
               srv.sessions, srv.steps, srv.clients, srv.wall_s);
   std::printf("transport  : %s  |  tick workers %zu  |  window %zu  |  "

@@ -53,9 +53,9 @@
 #                malformed-request error path (garbage on --in must exit
 #                nonzero with an oic_serve: diagnostic)
 #   perfbench    build the repo benchmark (perfbench/), run its self-tests,
-#                then 1 s acc-sweep and drl-campaign runs; each must report
-#                "correct": true with 0 failed (canary digests and rerun
-#                bit-identity checks passed)
+#                then 1 s acc-sweep, drl-campaign and serve-open runs; each
+#                must report "correct": true with 0 failed (canary digests
+#                and rerun bit-identity checks passed)
 #   format       clang-format --dry-run -Werror over src/ tests/ bench/
 #                tools/ (blocking; skipped with a warning when clang-format
 #                is absent)
@@ -378,7 +378,7 @@ if [[ ${do_serve} -eq 1 ]]; then
   # Burst against the in-process server, capturing the exact request
   # traffic (client-assigned session ids make the capture replayable).
   "${smoke_build}/oic_loadgen" --plants toy2d --sessions 256 --steps 5 \
-    --clients 3 --workers 2 --emit "${serve_dir}/burst.reqs" \
+    --clients 3 --emit "${serve_dir}/burst.reqs" \
     --json "${serve_dir}/LOADGEN_smoke.json"
   python3 "${repo_root}/scripts/check_bench_json.py" --self \
     "${serve_dir}/LOADGEN_smoke.json"
@@ -386,7 +386,7 @@ if [[ ${do_serve} -eq 1 ]]; then
   # the same requests must issue the same number of decisions and no
   # errors.
   "${smoke_build}/oic_serve" --in "${serve_dir}/burst.reqs" \
-    --out "${serve_dir}/burst.resps" --workers 2 \
+    --out "${serve_dir}/burst.resps" \
     --json "${serve_dir}/SERVE_smoke.json"
   python3 "${repo_root}/scripts/check_bench_json.py" --self \
     "${serve_dir}/SERVE_smoke.json"
@@ -407,7 +407,7 @@ EOF
   # burst:<k> sessions in the mix, then shuts down cleanly on SIGINT.  The
   # decision count must match the in-process and stdio runs.
   "${smoke_build}/oic_serve" --listen 0 --port-file "${serve_dir}/serve.port" \
-    --workers 2 --tick-workers 2 \
+    --tick-workers 2 \
     --json "${serve_dir}/SERVE_socket_smoke.json" 2>"${serve_dir}/serve.log" &
   serve_pid=$!
   for _ in $(seq 1 100); do
@@ -465,7 +465,7 @@ EOF
 fi
 
 if [[ ${do_perfbench} -eq 1 ]]; then
-  echo "=== perfbench smoke: self-tests + acc-sweep / drl-campaign correctness ==="
+  echo "=== perfbench smoke: self-tests + acc-sweep / drl-campaign / serve-open correctness ==="
   # Configured exactly as perfbench/run.py configures it, so run.py reuses
   # this build.  Short runs: timings are meaningless here; what must hold
   # is every canary digest and rerun bit-identity check behind "correct".
@@ -473,7 +473,7 @@ if [[ ${do_perfbench} -eq 1 ]]; then
   cmake -S "${repo_root}/perfbench" -B "${bench_build}" -DCMAKE_BUILD_TYPE=Release
   cmake --build "${bench_build}" -j"$(nproc)"
   "${bench_build}/perfbench_selftest"
-  for workload in acc-sweep drl-campaign; do
+  for workload in acc-sweep drl-campaign serve-open; do
     python3 "${repo_root}/perfbench/run.py" --workload "${workload}" --seed 1 \
       --seconds 1 --trace 0 >"${bench_build}/ci-${workload}.out"
     python3 - "${workload}" "${bench_build}/ci-${workload}.out" <<'EOF'

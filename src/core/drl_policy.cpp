@@ -1,10 +1,25 @@
 #include "core/drl_policy.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace oic::core {
 
 using linalg::Vector;
+
+namespace {
+
+/// Greedy action: the first index of the largest Q-value.
+int argmax(const double* q, std::size_t n) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (q[i] > q[best]) best = i;
+  }
+  return static_cast<int>(best);
+}
+
+}  // namespace
 
 void build_drl_state_into(Vector& out, const Vector& x, const WHistory& w_history,
                           std::size_t r, std::size_t w_dim) {
@@ -111,11 +126,28 @@ int DrlPolicy::decide(const Vector& x, const WHistory& w_history) {
   apply_state_scale_inplace(state_scratch_, state_scale_);
   // Same computation as DoubleDqn::greedy_action on the online network.
   const Vector& q = net_->forward_into(state_scratch_, mlp_ws_);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < q.size(); ++i) {
-    if (q[i] > q[best]) best = i;
+  return argmax(q.data().data(), q.size());
+}
+
+void DrlPolicy::decide_batch(const std::vector<Query>& rows, std::vector<int>& z) {
+  const std::size_t n = rows.size();
+  const std::size_t dim = net_->sizes().front();
+  z.resize(n);
+  if (n == 0) return;
+  if (batch_states_.rows() != n || batch_states_.cols() != dim) {
+    batch_states_ = linalg::Matrix(n, dim);
   }
-  return static_cast<int>(best);
+  // Each row is assembled exactly as decide() assembles its state.
+  for (std::size_t i = 0; i < n; ++i) {
+    build_drl_state_into(state_scratch_, *rows[i].x, *rows[i].w_history, r_, w_dim_);
+    apply_state_scale_inplace(state_scratch_, state_scale_);
+    OIC_REQUIRE(state_scratch_.size() == dim,
+                "DrlPolicy::decide_batch: state dimension mismatch");
+    std::copy(state_scratch_.data().begin(), state_scratch_.data().end(),
+              batch_states_.row_data(i));
+  }
+  const linalg::Matrix& q = net_->forward_batch_into(batch_states_, batch_ws_);
+  for (std::size_t i = 0; i < n; ++i) z[i] = argmax(q.row_data(i), q.cols());
 }
 
 }  // namespace oic::core

@@ -6,6 +6,7 @@
 /// the DQN state builder and the paper's reward function.
 
 #include <memory>
+#include <vector>
 
 #include "core/policy.hpp"
 #include "core/safe_sets.hpp"
@@ -73,8 +74,22 @@ class DrlPolicy final : public SkipPolicy {
   int decide(const linalg::Vector& x, const WHistory& w_history) override;
   std::string name() const override { return label_; }
 
+  /// One consultation of a batch: a state and its disturbance history.
+  struct Query {
+    const linalg::Vector* x = nullptr;
+    const WHistory* w_history = nullptr;
+  };
+  /// Batched decide(): z[i] equals decide(*rows[i].x, *rows[i].w_history)
+  /// bit for bit, from one Mlp::forward_batch_into pass over the assembled
+  /// state rows.  `z` is resized to rows.size().
+  void decide_batch(const std::vector<Query>& rows, std::vector<int>& z);
+
   /// Memory length r.
   std::size_t memory() const { return r_; }
+  /// The greedy network.
+  const rl::Mlp& network() const { return *net_; }
+  /// Input normalization (empty = raw states).
+  const linalg::Vector& state_scale() const { return state_scale_; }
 
  private:
   DrlPolicy(std::shared_ptr<const rl::Mlp> net, std::size_t r, std::size_t w_dim,
@@ -92,6 +107,8 @@ class DrlPolicy final : public SkipPolicy {
   // owns its own and a steady-state decide() allocates nothing.
   linalg::Vector state_scratch_;
   rl::MlpWorkspace mlp_ws_;
+  linalg::Matrix batch_states_;  ///< decide_batch's state rows
+  rl::BatchWorkspace batch_ws_;
 };
 
 }  // namespace oic::core

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "linalg/kernels.hpp"
+#include "core/monitor.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "poly/support_solver.hpp"
@@ -85,32 +85,30 @@ StepDecision IntermittentController::decide_at(const Vector& x, bool policy_ok,
     return d;
   }
 
-  if (config_.strict_invariant && !sets_.xi.contains(x, 1e-6)) {
+  if (config_.strict_invariant && !in_xi(sets_.xi.violation(x))) {
     throw NumericalError(
         "IntermittentController: state left the robust invariant set XI; the "
         "plant violates the model assumptions (Algorithm 1 precondition)");
   }
 
-  if (sets_.x_prime.contains(x)) {
-    if (policy_ok) {
-      // Line 6: the policy decides freely -- safety holds either way.
-      d.policy_consulted = true;
-      d.z = omega_.decide(x, w_history_) == 0 ? 0 : 1;
-    } else {
-      // Degraded: the skip-policy compute is unavailable this period, and
-      // the monitor never skips without Omega's say-so -- the conservative
-      // default z = 1 keeps safety trivially (z = 1 is always safe).
-      d.z = 1;
-      d.degraded = true;
-      ++degraded_steps_;
-      ++policy_unavail_;
-    }
-  } else {
-    // Line 8: outside X' the controller must run (no Omega consultation,
-    // so a policy-compute outage does not degrade this branch).
-    d.z = 1;
-    d.forced = true;
+  // Line 6 inside X': the policy decides freely -- safety holds either way.
+  // Degraded, the skip-policy compute is unavailable this period, and the
+  // monitor never skips without Omega's say-so: the conservative default
+  // z = 1 keeps safety trivially.  Line 8 outside X': the controller must
+  // run (no Omega consultation, so a policy outage does not degrade it).
+  const Verdict v = monitor_verdict(sets_.x_prime.violation(x), [&] {
+    return policy_ok ? omega_.decide(x, w_history_) : 1;
+  });
+  d.z = v.z;
+  d.forced = v.forced;
+  if (v.forced) {
     ++forced_steps_;
+  } else if (policy_ok) {
+    d.policy_consulted = true;
+  } else {
+    d.degraded = true;
+    ++degraded_steps_;
+    ++policy_unavail_;
   }
 
   if (d.z == 1) {
@@ -135,16 +133,9 @@ StepDecision IntermittentController::decide_at(const Vector& x, bool policy_ok,
   } else {
     d.u = config_.u_skip;
     ++skipped_steps_;
-    if (max_burst_ >= 2) {
-      // Certify the deepest burst the ladder supports at this state: the
-      // next k-1 periods then skip without any monitor work.
-      for (std::size_t k = max_burst_; k >= 2; --k) {
-        if (config_.ladder[k - 1].contains(x)) {
-          burst_remaining_ = k - 1;
-          break;
-        }
-      }
-    }
+    // Certify the deepest burst the ladder supports at this state: the next
+    // k-1 periods then skip without any monitor work.
+    burst_remaining_ = certified_burst(config_.ladder, max_burst_, x);
   }
   return d;
 }
@@ -602,15 +593,7 @@ void IntermittentController::record_transition(const Vector& x, const Vector& u,
   OIC_REQUIRE(x.size() == sys_.nx() && x_next.size() == sys_.nx() &&
                   u.size() == sys_.nu(),
               "IntermittentController::record_transition: dimension mismatch");
-  // Realized disturbance E w = x_next - A x - B u - c, accumulated into the
-  // scratch vector (same operation order as the expression form) and pushed
-  // into the ring: no allocation in the steady state.
-  ew_scratch_ = x_next;
-  double* ew = ew_scratch_.data().data();
-  linalg::gemv_sub(sys_.a(), x.data().data(), ew);
-  linalg::gemv_sub(sys_.b(), u.data().data(), ew);
-  for (std::size_t i = 0; i < ew_scratch_.size(); ++i) ew[i] -= sys_.c()[i];
-  w_history_.push(ew_scratch_);
+  record_disturbance(sys_, x, u, x_next, ew_scratch_, w_history_);
 }
 
 void IntermittentController::reset() {

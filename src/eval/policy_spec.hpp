@@ -23,6 +23,10 @@
 
 #include "core/policy.hpp"
 
+namespace oic::core {
+class DrlPolicy;
+}  // namespace oic::core
+
 namespace oic::eval {
 
 /// Structured form of one policy spec token.
@@ -43,5 +47,14 @@ PolicySpec parse_policy_spec(const std::string& spec);
 /// validates the agent file (dimension/scale checks).  Throws
 /// PreconditionError on malformed specs or unloadable agents.
 std::unique_ptr<core::SkipPolicy> make_policy(const std::string& spec);
+
+/// make_policy for a drl:<path> spec.  With `plant_id` set the agent is
+/// also checked against the nx-state plant it will drive: an agent
+/// recorded as trained on another plant, or whose input is not
+/// {x, r disturbance observations}, is rejected.  Throws PreconditionError
+/// naming the mismatch.
+std::unique_ptr<core::DrlPolicy> make_drl_policy(const PolicySpec& spec,
+                                                 const std::string* plant_id = nullptr,
+                                                 std::size_t nx = 0);
 
 }  // namespace oic::eval

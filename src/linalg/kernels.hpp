@@ -20,6 +20,7 @@
 /// asserts this exhaustively; docs/perf.md states the per-kernel contract.
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 
@@ -119,7 +120,15 @@ inline void gemm_grad_accum(const double* d, std::size_t batch, std::size_t ldd,
   }
 }
 
-/// Batched polytope membership: worst[r] = max_i (a_i . X[r,:] - b_i).
+/// Running max of constraint slacks that keeps a NaN: std::max(w, s)
+/// drops a NaN `s`, which would let a state with a NaN coordinate pass
+/// every `violation <= tol` membership test.  Equal to std::max otherwise.
+inline double max_keep_nan(double w, double s) {
+  return (w < s || std::isnan(s)) ? s : w;
+}
+
+/// Batched polytope membership: worst[r] = max_i (a_i . X[r,:] - b_i), NaN
+/// when any slack is NaN.
 inline void batch_max_violation(const Matrix& a, const double* b, const double* x,
                                 std::size_t batch, std::size_t ldx, double* worst) {
   const std::size_t rows = a.rows(), cols = a.cols();
@@ -133,7 +142,7 @@ inline void batch_max_violation(const Matrix& a, const double* b, const double* 
     for (std::size_t i = 0; i < rows; ++i, p += cols) {
       double s = -b[i];
       for (std::size_t j = 0; j < cols; ++j) s += p[j] * x[j];
-      w = std::max(w, s);
+      w = max_keep_nan(w, s);
     }
     worst[r] = w;
   }
@@ -242,9 +251,11 @@ inline void gemm_grad_accum(const double* d, std::size_t batch, std::size_t ldd,
 /// j-ascending adds, running max), so worst[r] is bit-identical to calling
 /// violation on row r -- the property the multi-session monitor relies on
 /// to keep batched safe-set checks equal to the per-session path.  An empty
-/// constraint system reports 0.0, matching the scalar kernel.  (The AVX2
+/// constraint system reports 0.0, matching the scalar kernel.  A NaN slack
+/// makes the row's result NaN, so no membership test passes it.  (The AVX2
 /// path streams the constraint matrix once per 4-session group, SoA
-/// row-blocked, with compare+blend so NaN/inf handling matches std::max.)
+/// row-blocked, with compare+blend so NaN/inf handling matches the scalar
+/// max_keep_nan.)
 inline void batch_max_violation(const Matrix& a, const double* b, const double* x,
                                 std::size_t batch, std::size_t ldx, double* worst) {
   detail::table().batch_max_violation(a, b, x, batch, ldx, worst);

@@ -169,10 +169,12 @@ void batch_max_violation_avx2(const Matrix& a, const double* b, const double* x,
         const __m256d xv = _mm256_loadu_pd(xt + 4 * j);
         s = _mm256_add_pd(s, _mm256_mul_pd(aij, xv));
       }
-      // w = std::max(w, s) == (w < s) ? s : w; LT_OQ is false on NaN, so a
-      // NaN row sum leaves w unchanged exactly like the scalar kernel.
-      const __m256d lt = _mm256_cmp_pd(w, s, _CMP_LT_OQ);
-      w = _mm256_blendv_pd(w, s, lt);
+      // w = scalar::max_keep_nan(w, s) == (w < s || isnan(s)) ? s : w: a
+      // NaN row sum replaces w, and a NaN w then stays (LT_OQ is false on
+      // NaN), exactly like the scalar kernel.
+      const __m256d take = _mm256_or_pd(_mm256_cmp_pd(w, s, _CMP_LT_OQ),
+                                        _mm256_cmp_pd(s, s, _CMP_UNORD_Q));
+      w = _mm256_blendv_pd(w, s, take);
     }
     _mm256_storeu_pd(worst + r, w);
   }

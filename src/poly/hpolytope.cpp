@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/lu.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
@@ -75,13 +76,11 @@ bool HPolytope::contains(const Vector& x, double tol) const {
 
 double HPolytope::violation(const Vector& x) const {
   OIC_REQUIRE(x.size() == dim(), "HPolytope::violation: dimension mismatch");
-  double worst = -std::numeric_limits<double>::infinity();
-  if (num_constraints() == 0) return 0.0;
-  for (std::size_t i = 0; i < num_constraints(); ++i) {
-    double s = -b_[i];
-    for (std::size_t j = 0; j < dim(); ++j) s += a_(i, j) * x[j];
-    worst = std::max(worst, s);
-  }
+  // One row of the batched membership kernel: the serve layer's SoA pass
+  // runs the same reduction, so both agree bit for bit (NaN included).
+  double worst = 0.0;
+  linalg::scalar::batch_max_violation(a_, b_.data().data(), x.data().data(), 1,
+                                      dim(), &worst);
   return worst;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -10,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "cert/io.hpp"
 #include "common/error.hpp"
 #include "control/tube_mpc.hpp"
 #include "core/intermittent.hpp"
@@ -50,12 +50,6 @@ class ColdKappa final : public control::Controller {
  private:
   control::TubeMpc mpc_;
 };
-
-bool bit_equal_vec(const linalg::Vector& a, const linalg::Vector& b) {
-  return a.size() == b.size() &&
-         (a.size() == 0 || std::memcmp(a.data().data(), b.data().data(),
-                                       a.size() * sizeof(double)) == 0);
-}
 
 /// One loadgen-driven session's plant-side state.
 struct ClientSession {
@@ -544,8 +538,8 @@ ParityReport check_batched_parity(const eval::ScenarioRegistry& registry,
                                   const std::string& plant_id,
                                   const std::vector<std::string>& policies,
                                   std::size_t sessions, std::size_t steps,
-                                  std::uint64_t seed,
-                                  const std::string& cert_dir) {
+                                  std::uint64_t seed, const std::string& cert_dir,
+                                  std::size_t tick_workers) {
   OIC_REQUIRE(!policies.empty(), "check_batched_parity: need at least one policy");
   OIC_REQUIRE(sessions >= 1, "check_batched_parity: need at least one session");
 
@@ -563,6 +557,7 @@ ParityReport check_batched_parity(const eval::ScenarioRegistry& registry,
 
   ServiceConfig scfg;
   scfg.cert_dir = cert_dir;
+  scfg.tick_workers = tick_workers;
   Service service(registry, scfg);
 
   ParityReport report;
@@ -675,7 +670,7 @@ ParityReport check_batched_parity(const eval::ScenarioRegistry& registry,
         continue;
       }
       s.u_srv = res[k].z == 1 ? s.kappa_srv->control(s.x_srv) : plant->u_skip();
-      if (!bit_equal_vec(d.u, s.u_srv)) {
+      if (!cert::bit_equal(d.u, s.u_srv)) {
         mismatch(tag + ": actuated input diverged");
         s.alive = false;
         continue;
@@ -686,7 +681,7 @@ ParityReport check_batched_parity(const eval::ScenarioRegistry& registry,
       s.x_ref = s.xnext;
       sys.step_into(s.x_srv, s.u_srv, s.w, s.xnext);
       s.x_srv = s.xnext;
-      if (!bit_equal_vec(s.x_ref, s.x_srv)) {
+      if (!cert::bit_equal(s.x_ref, s.x_srv)) {
         mismatch(tag + ": state trajectory diverged");
         s.alive = false;
       }

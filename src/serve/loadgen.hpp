@@ -153,12 +153,14 @@ struct ParityReport {
 /// the same disturbances.  Both paths actuate cold tube-MPC solves
 /// (reset_solver before every control), so the input is a deterministic
 /// function of the state on each side and any divergence is attributable
-/// to the batched monitor/policy pass.
+/// to the batched monitor/policy pass.  The service runs with
+/// `tick_workers` tick shards (ServiceConfig::tick_workers).
 ParityReport check_batched_parity(const eval::ScenarioRegistry& registry,
                                   const std::string& plant_id,
                                   const std::vector<std::string>& policies,
                                   std::size_t sessions, std::size_t steps,
                                   std::uint64_t seed,
-                                  const std::string& cert_dir = "");
+                                  const std::string& cert_dir = "",
+                                  std::size_t tick_workers = 1);
 
 }  // namespace oic::serve

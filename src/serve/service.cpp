@@ -1,65 +1,35 @@
 #include "serve/service.hpp"
 
-#include <cstring>
 #include <utility>
 
+#include "cert/io.hpp"
 #include "common/error.hpp"
+#include "core/drl_policy.hpp"
+#include "core/monitor.hpp"
 #include "eval/harness.hpp"
 #include "linalg/kernels.hpp"
-#include "rl/serialize.hpp"
 
 namespace oic::serve {
 
 namespace {
 
-/// Exact bitwise parameter equality of two networks -- the agent
-/// hot-reload guard (a rewritten file with identical parameters must not
-/// count as a swap).
-bool mlp_bit_equal(const rl::Mlp& a, const rl::Mlp& b) {
-  if (a.sizes() != b.sizes()) return false;
-  for (std::size_t l = 0; l < a.num_layers(); ++l) {
-    const auto& wa = a.weight(l);
-    const auto& wb = b.weight(l);
-    if (std::memcmp(wa.data(), wb.data(), wa.rows() * wa.cols() * sizeof(double)) !=
-        0) {
-      return false;
-    }
-    const auto& ba = a.bias(l).data();
-    const auto& bb = b.bias(l).data();
-    if (std::memcmp(ba.data(), bb.data(), ba.size() * sizeof(double)) != 0) {
+/// Bitwise equality of two agents -- the hot-reload guard (a rewritten
+/// file with identical parameters must not count as a swap).
+bool same_agent(const core::DrlPolicy& a, const core::DrlPolicy& b) {
+  const rl::Mlp& na = a.network();
+  const rl::Mlp& nb = b.network();
+  if (a.memory() != b.memory() || !cert::bit_equal(a.state_scale(), b.state_scale()) ||
+      na.sizes() != nb.sizes()) {
+    return false;
+  }
+  for (std::size_t l = 0; l < na.num_layers(); ++l) {
+    if (!cert::bit_equal(na.weight(l), nb.weight(l)) ||
+        !cert::bit_equal(na.bias(l), nb.bias(l))) {
       return false;
     }
   }
   return true;
 }
-
-/// One DQN state row, replicating core::build_drl_state_into exactly
-/// (front-padded zeros for a young history) plus the in-place scale --
-/// pure copies and elementwise multiplies, so each row is bit-identical
-/// to the per-session state builder.
-void build_state_row(double* row, std::size_t state_dim, const linalg::Vector& x,
-                     const core::WHistory& hist, std::size_t r, std::size_t w_dim,
-                     const linalg::Vector& scale) {
-  for (std::size_t i = 0; i < state_dim; ++i) row[i] = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) row[i] = x[i];
-  const std::size_t have = hist.size() < r ? hist.size() : r;
-  const std::size_t pad = r - have;
-  for (std::size_t k = 0; k < have; ++k) {
-    const linalg::Vector& w = hist[hist.size() - have + k];
-    for (std::size_t i = 0; i < w_dim; ++i) {
-      row[x.size() + (pad + k) * w_dim + i] = w[i];
-    }
-  }
-  if (!scale.empty()) {
-    for (std::size_t i = 0; i < state_dim; ++i) row[i] *= scale[i];
-  }
-}
-
-/// Monitor tolerances -- the exact constants of the per-session framework
-/// (IntermittentController::decide_at): XI with 1e-6 slack, X' with the
-/// HPolytope::contains default of 1e-9.
-constexpr double kXiTol = 1e-6;
-constexpr double kXPrimeTol = 1e-9;
 
 }  // namespace
 
@@ -73,26 +43,25 @@ struct Service::Group {
   eval::PolicySpec spec;
   PlantEntry* plant = nullptr;
 
-  // DRL groups: the shared frozen network plus its inference wiring.
-  std::shared_ptr<const rl::Mlp> net;
-  linalg::Vector state_scale;
-  std::size_t memory = 0;
-  std::size_t w_dim = 0;
-  std::size_t state_dim = 0;
+  /// Omega of every session in the group, except periodic sessions, which
+  /// each own one (the duty-cycle clock is per session).
+  std::unique_ptr<core::SkipPolicy> omega;
+  /// `omega` when it is a DRL agent: its consultations run batched.
+  core::DrlPolicy* drl = nullptr;
+  /// Deepest certifiable burst, min(omega's burst depth, ladder size);
+  /// recomputed on certificate hot-swap (the ladder may change depth).
+  std::size_t max_burst = 0;
 
   // Per-tick SoA scratch, grown on demand and reused allocation-free.
   linalg::Matrix xbatch;           ///< pending states, one per row
   std::vector<double> xi_viol;     ///< batched XI violations
   std::vector<double> xp_viol;     ///< batched X' violations
-  linalg::Matrix sbatch;           ///< DQN state rows (inside-X' rows only)
-  rl::BatchWorkspace bws;          ///< forward_batch_into scratch
-
-  // Burst groups: deepest certifiable rung, min(spec.count, ladder size),
-  // recomputed on certificate hot-swap (the ladder may change depth).
-  std::size_t max_burst = 0;
+  std::vector<core::DrlPolicy::Query> queries;  ///< DRL rows Omega decides
+  std::vector<int> drl_z;          ///< their batched answers, row order
 
   struct PendingDecide {
     std::uint64_t session = 0;
+    Session* state = nullptr;  ///< node-stable: unordered_map never moves it
     std::size_t out_index = 0;
     const Request* req = nullptr;
   };
@@ -111,9 +80,6 @@ Service::Service(const eval::ScenarioRegistry& registry, ServiceConfig config)
   if (!config_.cert_dir.empty()) {
     store_ = std::make_unique<cert::Store>(config_.cert_dir);
     provider_ = store_->provider();
-  }
-  if (config_.workers != 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.workers);
   }
   if (config_.tick_workers != 1) {
     tick_pool_ = std::make_unique<ThreadPool>(config_.tick_workers);
@@ -159,7 +125,20 @@ std::size_t Service::resolve_group(const std::string& plant_id,
   group->plant_id = plant_id;
   group->spec = spec;
   group->plant = plant;
-  if (spec.kind == eval::PolicySpec::Kind::kBurst) {
+  try {
+    if (spec.kind == eval::PolicySpec::Kind::kDrl) {
+      std::unique_ptr<core::DrlPolicy> drl =
+          eval::make_drl_policy(spec, &plant_id, plant->model.sys.nx());
+      group->drl = drl.get();
+      group->omega = std::move(drl);
+    } else {
+      group->omega = eval::make_policy(policy);
+    }
+  } catch (const Error& e) {
+    error = e.what();
+    return kNoGroup;
+  }
+  if (const std::size_t depth = group->omega->burst_depth(); depth >= 1) {
     // Burst serving needs the certificate's k-step skip ladder -- the
     // same precondition the per-session IntermittentController enforces.
     if (plant->cert.ladder.empty()) {
@@ -167,37 +146,7 @@ std::size_t Service::resolve_group(const std::string& plant_id,
               "' has no certified skip ladder (burst mode needs one)";
       return kNoGroup;
     }
-    group->max_burst = std::min(spec.count, plant->cert.ladder.size());
-  }
-  if (spec.kind == eval::PolicySpec::Kind::kDrl) {
-    try {
-      rl::AgentSnapshot snap = rl::load_agent_file(spec.path);
-      const std::size_t nx = plant->model.sys.nx();
-      const std::size_t state_dim = snap.net.sizes().front();
-      if (!snap.plant.empty() && snap.plant != plant_id) {
-        error = "policy '" + policy + "': agent was trained on plant '" + snap.plant +
-                "', not '" + plant_id + "'";
-        return kNoGroup;
-      }
-      if (!snap.state_scale.empty() && snap.state_scale.size() != state_dim) {
-        error = "policy '" + policy + "': scale/network dimension mismatch";
-        return kNoGroup;
-      }
-      const std::size_t w_dim = state_dim / (snap.memory + 1);
-      if (w_dim != nx || state_dim != nx + snap.memory * w_dim) {
-        error = "policy '" + policy + "': agent dimensions do not fit plant '" +
-                plant_id + "'";
-        return kNoGroup;
-      }
-      group->memory = snap.memory;
-      group->w_dim = w_dim;
-      group->state_dim = state_dim;
-      group->state_scale = std::move(snap.state_scale);
-      group->net = std::make_shared<rl::Mlp>(std::move(snap.net));
-    } catch (const Error& e) {
-      error = "policy '" + policy + "': " + std::string(e.what());
-      return kNoGroup;
-    }
+    group->max_burst = std::min(depth, plant->cert.ladder.size());
   }
   groups_.push_back(std::move(group));
   group_index_.emplace(key, groups_.size() - 1);
@@ -214,39 +163,26 @@ void Service::reload(std::uint64_t& certs_swapped, std::uint64_t& agents_swapped
       }
     }
     // A swapped certificate may carry a shallower (or deeper) ladder:
-    // re-clamp every burst group's rung ceiling so countdown starts never
-    // index past the live ladder.  Running countdowns stay valid -- they
-    // were certified against the rung that was live when they started.
+    // re-clamp every group's burst ceiling so countdown starts never index
+    // past the live ladder.  Running countdowns stay valid -- they were
+    // certified against the rung that was live when they started.
     for (auto& group : groups_) {
-      if (group->spec.kind != eval::PolicySpec::Kind::kBurst) continue;
       group->max_burst =
-          std::min(group->spec.count, group->plant->cert.ladder.size());
+          std::min(group->omega->burst_depth(), group->plant->cert.ladder.size());
     }
   }
   for (auto& group : groups_) {
-    if (group->spec.kind != eval::PolicySpec::Kind::kDrl) continue;
+    if (group->drl == nullptr) continue;
     try {
-      rl::AgentSnapshot snap = rl::load_agent_file(group->spec.path);
-      const std::size_t state_dim = snap.net.sizes().front();
-      const std::size_t nx = group->plant->model.sys.nx();
-      const std::size_t w_dim = state_dim / (snap.memory + 1);
-      const bool fits =
-          (snap.plant.empty() || snap.plant == group->plant_id) &&
-          (snap.state_scale.empty() || snap.state_scale.size() == state_dim) &&
-          w_dim == nx && state_dim == nx + snap.memory * w_dim;
-      if (!fits) continue;  // keep the old agent; sessions keep running
-      const bool changed = snap.memory != group->memory ||
-                           snap.state_scale.data() != group->state_scale.data() ||
-                           !mlp_bit_equal(snap.net, *group->net);
-      if (!changed) continue;
-      group->memory = snap.memory;
-      group->w_dim = w_dim;
-      group->state_dim = state_dim;
-      group->state_scale = std::move(snap.state_scale);
-      group->net = std::make_shared<rl::Mlp>(std::move(snap.net));
+      std::unique_ptr<core::DrlPolicy> fresh = eval::make_drl_policy(
+          group->spec, &group->plant_id, group->plant->model.sys.nx());
+      if (same_agent(*fresh, *group->drl)) continue;
+      group->drl = fresh.get();
+      group->omega = std::move(fresh);
       ++agents_swapped;
     } catch (const Error&) {
-      // Unreadable / malformed rewrite: keep serving the loaded agent.
+      // Unreadable, malformed or misfit rewrite: keep serving the loaded
+      // agent; sessions keep running.
     }
   }
 }
@@ -367,15 +303,8 @@ void Service::serve(const std::vector<Request>& in, std::vector<Response>& out) 
                           std::to_string(r.u.size()) + ")");
             break;
           }
-          // Reconstruct the realized disturbance exactly like
-          // IntermittentController::record_transition:
-          //   E w = x - A x_prev - B u - c, accumulation order preserved.
-          session.ew_scratch = r.x;
-          double* ew = session.ew_scratch.data().data();
-          linalg::gemv_sub(sys.a(), session.x_prev.data().data(), ew);
-          linalg::gemv_sub(sys.b(), r.u.data().data(), ew);
-          for (std::size_t k = 0; k < sys.nx(); ++k) ew[k] -= sys.c()[k];
-          session.whist.push(session.ew_scratch);
+          core::record_disturbance(sys, session.x_prev, r.u, r.x, session.ew_scratch,
+                                   session.whist);
           session.x_prev = r.x;
         }
         session.last_decide_tick = tick_serial_;
@@ -395,7 +324,7 @@ void Service::serve(const std::vector<Request>& in, std::vector<Response>& out) 
           ++counters_.burst_skips;
           break;
         }
-        group.pending.push_back({r.session, i, &r});
+        group.pending.push_back({r.session, &session, i, &r});
         break;
       }
     }
@@ -413,14 +342,11 @@ void Service::serve(const std::vector<Request>& in, std::vector<Response>& out) 
   try {
     if (tick_pool_ && active.size() > 1) {
       for (Group* group : active) {
-        // The intra-group membership pool is a single shared ThreadPool
-        // whose wait_idle() is global; concurrent run_groups must not race
-        // on it, so sharded groups chunk their membership pass inline.
-        tick_pool_->submit([this, group, &out] { run_group(*group, out, false); });
+        tick_pool_->submit([group, &out] { run_group(*group, out); });
       }
       tick_pool_->wait_idle();
     } else {
-      for (Group* group : active) run_group(*group, out, true);
+      for (Group* group : active) run_group(*group, out);
     }
   } catch (...) {
     // A group that threw (OOM, ...) leaves the tick unanswered -- the
@@ -447,7 +373,7 @@ void Service::serve(const std::vector<Request>& in, std::vector<Response>& out) 
   }
 }
 
-void Service::run_group(Group& group, std::vector<Response>& out, bool allow_pool) {
+void Service::run_group(Group& group, std::vector<Response>& out) {
   const std::size_t n = group.pending.size();
   const std::size_t nx = group.plant->model.sys.nx();
 
@@ -459,93 +385,40 @@ void Service::run_group(Group& group, std::vector<Response>& out, bool allow_poo
     double* row = group.xbatch.row_data(r);
     for (std::size_t j = 0; j < nx; ++j) row[j] = x[j];
   }
-  group.xi_viol.assign(n, 0.0);
-  group.xp_viol.assign(n, 0.0);
+  group.xi_viol.resize(n);
+  group.xp_viol.resize(n);
 
-  // Batched monitor: both membership checks in one SoA pass each,
-  // chunked over the pool (rows are independent, so any chunking is
-  // bit-identical to the scalar loop).
+  // The monitor's membership tests for the whole batch: one SoA pass per
+  // set, each row bit-identical to HPolytope::violation.
   const poly::HPolytope& xi = group.plant->cert.sets.xi;
   const poly::HPolytope& xp = group.plant->cert.sets.x_prime;
-  auto membership = [&](std::size_t begin, std::size_t end) {
-    const std::size_t count = end - begin;
-    if (count == 0) return;
-    const double* rows = group.xbatch.row_data(begin);
-    linalg::batch_max_violation(xi.a(), xi.b().data().data(), rows, count, nx,
-                                group.xi_viol.data() + begin);
-    linalg::batch_max_violation(xp.a(), xp.b().data().data(), rows, count, nx,
-                                group.xp_viol.data() + begin);
-  };
-  if (allow_pool && pool_ && n >= 256) {
-    const std::size_t chunks = pool_->size();
-    const std::size_t base = n / chunks, rem = n % chunks;
-    std::size_t begin = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t len = base + (c < rem ? 1 : 0);
-      const std::size_t end = begin + len;
-      pool_->submit([&membership, begin, end] { membership(begin, end); });
-      begin = end;
-    }
-    pool_->wait_idle();
-  } else {
-    membership(0, n);
-  }
+  linalg::batch_max_violation(xi.a(), xi.b().data().data(), group.xbatch.data(), n, nx,
+                              group.xi_viol.data());
+  linalg::batch_max_violation(xp.a(), xp.b().data().data(), group.xbatch.data(), n, nx,
+                              group.xp_viol.data());
 
-  // DRL groups: one fused forward_batch_into over the inside-X' rows.
-  std::vector<int> drl_z;
-  std::vector<std::size_t> drl_row;  // pending index per sbatch row
-  if (group.spec.kind == eval::PolicySpec::Kind::kDrl) {
-    drl_row.reserve(n);
+  // A DRL group asks Omega about every row the monitor will hand it in one
+  // batched forward pass; the verdicts below read the answers in row order.
+  if (group.drl != nullptr) {
+    group.queries.clear();
     for (std::size_t r = 0; r < n; ++r) {
-      if (group.xi_viol[r] <= kXiTol && group.xp_viol[r] <= kXPrimeTol) {
-        drl_row.push_back(r);
+      const auto& p = group.pending[r];
+      if (core::in_xi(group.xi_viol[r]) && core::in_x_prime(group.xp_viol[r])) {
+        group.queries.push_back({&p.req->x, &p.state->whist});
       }
     }
-    const std::size_t m = drl_row.size();
-    if (m > 0) {
-      if (group.sbatch.rows() < m || group.sbatch.cols() != group.state_dim) {
-        group.sbatch = linalg::Matrix(m + m / 2 + 1, group.state_dim);
-      }
-      for (std::size_t s = 0; s < m; ++s) {
-        const auto& p = group.pending[drl_row[s]];
-        const Session& session = sessions_.at(p.session);
-        build_state_row(group.sbatch.row_data(s), group.state_dim, p.req->x,
-                        session.whist, group.memory, group.w_dim,
-                        group.state_scale);
-      }
-      // forward_batch_into reads exactly in.rows() rows; hand it a view
-      // with m rows.  The scratch matrix may be oversized, so build a
-      // tight alias only when needed.
-      const linalg::Matrix* input = &group.sbatch;
-      linalg::Matrix tight;
-      if (group.sbatch.rows() != m) {
-        tight = linalg::Matrix(m, group.state_dim);
-        std::memcpy(tight.data(), group.sbatch.data(),
-                    m * group.state_dim * sizeof(double));
-        input = &tight;
-      }
-      const linalg::Matrix& q = group.net->forward_batch_into(*input, group.bws);
-      drl_z.assign(m, 1);
-      const std::size_t out_dim = q.cols();
-      for (std::size_t s = 0; s < m; ++s) {
-        const double* row = q.row_data(s);
-        std::size_t best = 0;
-        for (std::size_t a = 1; a < out_dim; ++a) {
-          if (row[a] > row[best]) best = a;
-        }
-        drl_z[s] = best == 0 ? 0 : 1;
-      }
-    }
+    group.drl->decide_batch(group.queries, group.drl_z);
   }
 
-  std::size_t drl_cursor = 0;
+  std::size_t consulted = 0;
   for (std::size_t r = 0; r < n; ++r) {
     const auto& p = group.pending[r];
+    Session& session = *p.state;
     Response& res = out[p.out_index];
     // Algorithm 1 line 2 precondition, strict mode: a state outside XI
     // means the certificate's model assumptions were violated; mirror the
     // per-session framework's abort by closing the session.
-    if (group.xi_viol[r] > kXiTol) {
+    if (!core::in_xi(group.xi_viol[r])) {
       res.kind = Response::Kind::kError;
       res.error = "session " + std::to_string(p.session) +
                   ": state left the robust invariant set XI (Algorithm 1 "
@@ -553,72 +426,25 @@ void Service::run_group(Group& group, std::vector<Response>& out, bool allow_poo
       ++group.tick_counters.errors;
       ++group.tick_counters.invariant_errors;
       group.tick_closed.push_back(p.session);
-      if (group.spec.kind == eval::PolicySpec::Kind::kDrl &&
-          drl_cursor < drl_row.size() && drl_row[drl_cursor] == r) {
-        ++drl_cursor;  // unreachable (outside XI is never inside X'), kept safe
-      }
       continue;
     }
-    const bool inside = group.xp_viol[r] <= kXPrimeTol;
-    int z = 1;
-    bool forced = false;
-    switch (group.spec.kind) {
-      case eval::PolicySpec::Kind::kAlwaysRun:
-        z = 1;
-        forced = !inside;
-        break;
-      case eval::PolicySpec::Kind::kBangBang:
-        z = inside ? 0 : 1;
-        forced = !inside;
-        break;
-      case eval::PolicySpec::Kind::kPeriodic: {
-        if (inside) {
-          Session& session = sessions_.at(p.session);
-          z = session.policy->decide(p.req->x, session.whist) == 0 ? 0 : 1;
-        } else {
-          z = 1;
-          forced = true;
-        }
-        break;
-      }
-      case eval::PolicySpec::Kind::kDrl: {
-        if (inside) {
-          z = drl_z[drl_cursor];
-          ++drl_cursor;
-        } else {
-          z = 1;
-          forced = true;
-        }
-        break;
-      }
-      case eval::PolicySpec::Kind::kBurst: {
-        // BurstSkipPolicy always requests the skip, so the monitor alone
-        // decides: inside X' skip, outside force.  Every granted skip
-        // certifies the deepest containing ladder rung (the exact search
-        // of IntermittentController::decide_at -- same order, same
-        // HPolytope::contains tolerance), arming the session's countdown
-        // so the next k-1 decides bypass the batch in phase 1.
-        z = inside ? 0 : 1;
-        forced = !inside;
-        if (z == 0 && group.max_burst >= 2) {
-          Session& session = sessions_.at(p.session);
-          const auto& ladder = group.plant->cert.ladder;
-          for (std::size_t k = group.max_burst; k >= 2; --k) {
-            if (ladder[k - 1].contains(p.req->x)) {
-              session.burst_remaining = k - 1;
-              break;
-            }
-          }
-        }
-        break;
-      }
+    const core::Verdict v = core::monitor_verdict(group.xp_viol[r], [&] {
+      if (group.drl != nullptr) return group.drl_z[consulted++];
+      core::SkipPolicy& omega = session.policy ? *session.policy : *group.omega;
+      return omega.decide(p.req->x, session.whist);
+    });
+    // A granted skip arms the session's countdown, so the next k-1
+    // decides bypass the batch in phase 1.
+    if (v.z == 0) {
+      session.burst_remaining =
+          core::certified_burst(group.plant->cert.ladder, group.max_burst, p.req->x);
     }
     res.kind = Response::Kind::kDecision;
-    res.z = z;
-    res.forced = forced;
+    res.z = v.z;
+    res.forced = v.forced;
     ++group.tick_counters.decisions;
-    if (z == 0) ++group.tick_counters.skipped;
-    if (forced) ++group.tick_counters.forced;
+    if (v.z == 0) ++group.tick_counters.skipped;
+    if (v.forced) ++group.tick_counters.forced;
   }
 }
 

@@ -3,24 +3,24 @@
 /// The multi-session monitor core: a session table keyed by
 /// (plant, certificate, policy) whose per-tick decision pass is batched.
 ///
-/// Each serve() call is one tick.  Phase 1 walks the request batch in
-/// order: opens/closes mutate the session table, reloads re-resolve
-/// certificates and agents through the cert::Store hash guards (sessions
-/// keep their state across a swap), and decides are validated (residual
-/// reconstruction exactly mirrors IntermittentController::record_transition)
-/// and queued on their session's group.  Phase 2 runs each group's pending
-/// decisions as one fused SoA batch: the XI / X' membership checks go
-/// through linalg::batch_max_violation (bit-identical per row to
-/// HPolytope::violation, chunked over the service thread pool) and a DRL
-/// group's policy consultations run as a single Mlp::forward_batch_into
-/// pass.  With tick_workers > 1 the independent group batches of one tick
-/// run concurrently (see ServiceConfig::tick_workers for why the result
-/// stays bit-identical).  burst:<k> sessions inside their certified skip
-/// countdown are answered straight from a per-session counter in phase 1
-/// -- no membership row, no group batch -- exactly the per-session burst
-/// branch.  The resulting z/forced stream is bit-identical to driving a
-/// per-session IntermittentController with the same states and inputs --
-/// the property tests/test_serve.cpp asserts.
+/// The decision rule lives in core/monitor.hpp, which IntermittentController
+/// decides through too: the XI / X' tests and tolerances, the verdict (Omega
+/// decides inside X', the controller is forced outside), the certified
+/// burst, the disturbance residual.  Omega is the policy eval::make_policy
+/// builds.  So the z/forced stream equals a per-session
+/// IntermittentController's by construction (ServeParity.* assert it).
+///
+/// Serve's own part is the batching.  Each serve() call is one tick.
+/// Phase 1 walks the requests in order: opens/closes mutate the session
+/// table, reloads re-resolve certificates and agents through the cert::Store
+/// hash guards (sessions keep their state across a swap), decides are
+/// validated, record their residual and queue on their group -- except
+/// those inside a certified burst countdown, answered z = 0 on the spot.
+/// Phase 2 runs each group's pending decisions as one SoA batch: the XI / X'
+/// violations of all rows in one linalg::batch_max_violation pass each, and
+/// a DRL group's Omega in one DrlPolicy::decide_batch.  With tick_workers > 1
+/// the independent group batches of one tick run concurrently (see
+/// ServiceConfig::tick_workers for why the result stays bit-identical).
 ///
 /// The service itself is single-caller (the Server's tick thread); it is
 /// not internally thread-safe.
@@ -37,7 +37,6 @@
 #include "core/w_history.hpp"
 #include "eval/policy_spec.hpp"
 #include "eval/registry.hpp"
-#include "rl/mlp.hpp"
 #include "serve/api.hpp"
 
 namespace oic::serve {
@@ -48,7 +47,6 @@ struct ServiceConfig {
   /// plant's artifacts fresh at first open; set, plants resolve through
   /// the store and `reload` requests pick up hash-fresh rewrites.
   std::string cert_dir;
-  std::size_t workers = 0;  ///< membership-check pool width; 0 = hardware
   /// Tick-shard pool width: independent (plant, cert, policy) group
   /// batches of one tick run concurrently, one worker job per group.
   /// Groups are data-disjoint (each owns its SoA workspace, its pending
@@ -95,8 +93,8 @@ class Service {
   struct PlantEntry;
   struct Group;
 
-  /// One live control session.  The disturbance history and its residual
-  /// scratch mirror the per-session framework exactly (w_memory = the
+  /// One live control session.  The disturbance history is kept like the
+  /// per-session framework's (core::record_disturbance, w_memory = the
   /// episode constant kEpisodeWMemory); only periodic policies carry
   /// per-session policy state.
   struct Session {
@@ -104,7 +102,7 @@ class Service {
     bool seeded = false;             ///< first decide arrived
     linalg::Vector x_prev;           ///< state of the previous decision
     core::WHistory whist;            ///< residual ring, oldest first
-    linalg::Vector ew_scratch;       ///< record_transition residual scratch
+    linalg::Vector ew_scratch;       ///< record_disturbance residual scratch
     std::unique_ptr<core::SkipPolicy> policy;  ///< periodic state only
     /// Certified-skip countdown (burst groups): while positive, decides
     /// are answered z = 0 straight from phase 1 -- no XI / X' membership
@@ -130,15 +128,12 @@ class Service {
   /// Run one group's fused batch.  Side effects land in the group's
   /// per-tick outcome buffer (counters, sessions to close), never in the
   /// shared table -- callable concurrently for distinct groups.
-  /// `allow_pool` gates the intra-group membership chunking over pool_
-  /// (safe only when this is the sole run_group in flight).
-  void run_group(Group& group, std::vector<Response>& out, bool allow_pool);
+  static void run_group(Group& group, std::vector<Response>& out);
 
   const eval::ScenarioRegistry& registry_;
   ServiceConfig config_;
   std::unique_ptr<cert::Store> store_;
   cert::Provider provider_;
-  std::unique_ptr<ThreadPool> pool_;       ///< intra-group membership chunks
   std::unique_ptr<ThreadPool> tick_pool_;  ///< inter-group tick shards
   ServiceCounters counters_;
   std::uint64_t tick_serial_ = 0;  ///< serve() calls; decide-dup stamps

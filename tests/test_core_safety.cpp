@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "control/invariant.hpp"
@@ -141,6 +144,22 @@ TEST(Monitor, StrictModeThrowsOutsideXi) {
   cfg.u_skip = Vector{0.0};
   IntermittentController ic(rig.sys, rig.sets, kappa, policy, cfg);
   EXPECT_THROW(ic.decide(Vector{100, 100}), oic::NumericalError);
+}
+
+TEST(Monitor, NanStateFailsMembershipAndStrictModeThrows) {
+  // A NaN coordinate must not pass for "inside": no set contains the
+  // state, and the strict monitor rejects it before Omega could skip.
+  const Rig& rig = Rig::get();
+  const Vector x{std::numeric_limits<double>::quiet_NaN(), 0.0};
+  EXPECT_FALSE(rig.sets.xi.contains(x, 1e-6));
+  EXPECT_FALSE(rig.sets.x_prime.contains(x));
+  EXPECT_TRUE(std::isnan(rig.sets.x_prime.violation(x)));
+  LinearFeedback kappa(rig.k);
+  oic::core::BangBangPolicy policy;
+  IntermittentConfig cfg;
+  cfg.u_skip = Vector{0.0};
+  IntermittentController ic(rig.sys, rig.sets, kappa, policy, cfg);
+  EXPECT_THROW(ic.decide(x), oic::NumericalError);
 }
 
 TEST(Monitor, SkipInputMustBeAdmissible) {

@@ -150,6 +150,55 @@ TEST(DrlPolicy, ScaledDecisionUsesScaledState) {
   EXPECT_EQ(z, expect);
 }
 
+TEST(DrlPolicy, BatchedDecisionsEqualPerRowDecide) {
+  // decide_batch is the serve layer's batched Omega: every row must answer
+  // exactly what decide() answers for that state and history.  Histories
+  // run 0..r+1 observations (front padding, and a ring longer than r);
+  // each policy is asked batches of different sizes, so the state-row
+  // scratch is reused at, below and above its previous row count.
+  const std::size_t r = 2, nx = 2;
+  oic::Rng rng(41);
+  const auto net = std::make_shared<oic::rl::Mlp>(
+      std::vector<std::size_t>{drl_state_dim(nx, nx, r), 16, 8, 2}, rng);
+  const Vector scale{0.5, 2.0, 10.0, 0.25, 3.0, 1.5};
+  for (const Vector& s : {Vector(), scale}) {
+    const auto policy = oic::core::DrlPolicy::from_network(net, r, nx, s);
+    std::size_t call = 0;
+    for (std::size_t n : {std::size_t{300}, std::size_t{7}, std::size_t{301},
+                          std::size_t{301}}) {
+      ++call;  // shifts each row's history length between equal-size batches
+      std::vector<Vector> xs;
+      std::vector<oic::core::WHistory> hists;
+      for (std::size_t i = 0; i < n; ++i) {
+        xs.push_back(Vector{rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)});
+        oic::core::WHistory h(r + 1);
+        for (std::size_t k = 0; k < (i + call) % (r + 2); ++k) {
+          h.push(Vector{rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)});
+        }
+        hists.push_back(std::move(h));
+      }
+      std::vector<oic::core::DrlPolicy::Query> rows;
+      for (std::size_t i = 0; i < n; ++i) rows.push_back({&xs[i], &hists[i]});
+      std::vector<int> z;
+      policy->decide_batch(rows, z);
+      ASSERT_EQ(z.size(), n);
+      std::size_t skips = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(z[i], policy->decide(xs[i], hists[i])) << "row " << i << " of " << n;
+        if (z[i] == 0) ++skips;
+      }
+      if (n >= 300) {
+        // Both answers occur, so the comparison is not vacuous.
+        EXPECT_GT(skips, 0u);
+        EXPECT_LT(skips, n);
+      }
+    }
+    std::vector<int> z{5};
+    policy->decide_batch({}, z);
+    EXPECT_TRUE(z.empty());
+  }
+}
+
 TEST(DrlPolicy, NullAgentRejected) {
   EXPECT_THROW(oic::core::DrlPolicy(nullptr, 1, 2), oic::PreconditionError);
 }

@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -443,7 +444,6 @@ TEST(ServeService, SessionLifecycleAndValidation) {
   const std::vector<double> u0(nu, 0.0);
 
   oic::serve::ServiceConfig cfg;
-  cfg.workers = 1;
   oic::serve::Service svc(reg, cfg);
 
   // Open + first decide (state only) in one batch, request order.
@@ -520,6 +520,46 @@ TEST(ServeService, SessionLifecycleAndValidation) {
   EXPECT_EQ(c.invariant_errors, 0u);
 }
 
+TEST(ServeService, NanStateIsAnXiErrorAndClosesTheSession) {
+  // The wire parser rejects non-finite numbers, but in-process callers are
+  // not parsed: a NaN state must fail the XI precondition like any state
+  // outside XI.  Five sessions in one group, so the NaN row sits inside a
+  // vectorized 4-row membership block, not only the scalar tail.
+  const auto& reg = oic::eval::ScenarioRegistry::builtin();
+  oic::serve::Service svc(reg, oic::serve::ServiceConfig{});
+  std::vector<Response> out;
+  std::vector<Request> batch;
+  for (std::uint64_t sid = 1; sid <= 5; ++sid) {
+    batch.push_back(open_req(sid, sid, "toy2d", "bang-bang"));
+  }
+  svc.serve(batch, out);
+  batch.clear();
+  for (std::uint64_t sid = 1; sid <= 5; ++sid) {
+    std::vector<double> x(2, 0.0);
+    if (sid == 2) x[1] = std::numeric_limits<double>::quiet_NaN();
+    batch.push_back(decide_req(10 + sid, sid, x));
+  }
+  svc.serve(batch, out);
+  ASSERT_EQ(out.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    if (i == 1) {
+      ASSERT_EQ(out[i].kind, Response::Kind::kError);
+      EXPECT_NE(out[i].error.find("left the robust invariant set XI"),
+                std::string::npos)
+          << out[i].error;
+    } else {
+      ASSERT_EQ(out[i].kind, Response::Kind::kDecision) << out[i].error;
+      EXPECT_EQ(out[i].z, 0);
+      EXPECT_FALSE(out[i].forced);
+    }
+  }
+  EXPECT_EQ(svc.open_sessions(), 4u);
+  EXPECT_EQ(svc.counters().invariant_errors, 1u);
+  svc.serve({decide_req(20, 2, std::vector<double>(2, 0.0))}, out);
+  ASSERT_EQ(out[0].kind, Response::Kind::kError);
+  EXPECT_NE(out[0].error.find("unknown session"), std::string::npos);
+}
+
 TEST(ServeService, DecideThenCloseInOneBatchFailsTheDecide) {
   // Regression: a decide queued in phase 1 used to survive a close of the
   // same session later in the batch, so phase 2 looked up the erased
@@ -532,7 +572,6 @@ TEST(ServeService, DecideThenCloseInOneBatchFailsTheDecide) {
                                           "drl:" + agent};
   for (const std::string& policy : policies) {
     oic::serve::ServiceConfig cfg;
-    cfg.workers = 1;
     oic::serve::Service svc(reg, cfg);
     std::vector<Response> out;
     svc.serve({open_req(1, 3, "toy2d", policy), decide_req(2, 3, {0.0, 0.0}),
@@ -556,7 +595,6 @@ TEST(ServeService, CloseReopenInOneBatchStartsFresh) {
   // its first decide (state only) succeeds.
   const auto& reg = oic::eval::ScenarioRegistry::builtin();
   oic::serve::ServiceConfig cfg;
-  cfg.workers = 1;
   oic::serve::Service svc(reg, cfg);
   std::vector<Response> out;
   svc.serve({open_req(1, 8, "toy2d", "bang-bang"), decide_req(2, 8, {0.0, 0.0})},
@@ -576,7 +614,6 @@ TEST(ServeService, CloseReopenInOneBatchStartsFresh) {
 
 TEST(ServeService, SessionTableCapIsEnforced) {
   oic::serve::ServiceConfig cfg;
-  cfg.workers = 1;
   cfg.max_sessions = 1;
   oic::serve::Service svc(oic::eval::ScenarioRegistry::builtin(), cfg);
   std::vector<Response> out;
@@ -591,7 +628,6 @@ TEST(ServeService, SessionTableCapIsEnforced) {
 TEST(ServeService, DrlOpenValidatesTheAgent) {
   const auto& reg = oic::eval::ScenarioRegistry::builtin();
   oic::serve::ServiceConfig cfg;
-  cfg.workers = 1;
   oic::serve::Service svc(reg, cfg);
   std::vector<Response> out;
 
@@ -632,7 +668,6 @@ TEST(ServeService, AgentHotReloadSwapsWithoutDroppingSessions) {
   const auto& reg = oic::eval::ScenarioRegistry::builtin();
   const std::string path = write_toy2d_agent("hot.agent", 21);
   oic::serve::ServiceConfig cfg;
-  cfg.workers = 1;
   oic::serve::Service svc(reg, cfg);
   std::vector<Response> out;
   svc.serve({open_req(1, 5, "toy2d", "drl:" + path),
@@ -688,13 +723,22 @@ TEST(ServeParity, BatchedDecisionsMatchPerSessionPath) {
 }
 
 TEST(ServeParity, ParityHoldsAcrossWorkerCounts) {
-  // The batched membership checks chunk over a thread pool; the chunking
-  // must not change a single bit of any decision.
+  // Large groups served serially and sharded over four tick workers: four
+  // (plant, cert, policy) groups of 256 sessions each (a 256-row membership
+  // batch and a 256-row batched DQN pass per tick) must still reproduce
+  // the per-session reference bit for bit.
   const auto& reg = oic::eval::ScenarioRegistry::builtin();
-  const oic::serve::ParityReport report = oic::serve::check_batched_parity(
-      reg, "toy2d", {"bang-bang", "periodic-2"}, 9, 15, 7);
-  EXPECT_TRUE(report.identical) << report.detail;
-  EXPECT_EQ(report.decisions, 9u * 15u);
+  const std::string agent = write_toy2d_agent("workers_parity.agent", 43);
+  const std::vector<std::string> policies = {"bang-bang", "periodic-2", "always-run",
+                                             "drl:" + agent};
+  const std::size_t sessions = 256 * policies.size();
+  for (std::size_t tick_workers : {std::size_t{1}, std::size_t{4}}) {
+    const oic::serve::ParityReport report = oic::serve::check_batched_parity(
+        reg, "toy2d", policies, sessions, 6, 7, "", tick_workers);
+    EXPECT_TRUE(report.identical) << "tick_workers " << tick_workers << ": "
+                                  << report.detail;
+    EXPECT_EQ(report.decisions, sessions * 6u) << "tick_workers " << tick_workers;
+  }
 }
 
 TEST(ServeParity, BurstSessionsMatchPerSessionBurstMode) {
@@ -724,7 +768,6 @@ TEST(ServeParity, TickOutputByteIdenticalAcrossTickWorkerCounts) {
   const std::string reqs = ::testing::TempDir() + "tick_sweep.reqs";
   {
     oic::serve::ServiceConfig scfg;
-    scfg.workers = 1;
     oic::serve::Server server(reg, scfg);
     oic::serve::LoadgenConfig lc;
     lc.plants = {"toy2d"};
@@ -741,7 +784,6 @@ TEST(ServeParity, TickOutputByteIdenticalAcrossTickWorkerCounts) {
   }
   const auto replay = [&](std::size_t tick_workers) {
     oic::serve::ServiceConfig cfg;
-    cfg.workers = 1;
     cfg.tick_workers = tick_workers;
     oic::serve::Service svc(reg, cfg);
     std::ifstream in(reqs);
@@ -851,7 +893,6 @@ TEST(ServeService, BurstCountdownAnswersSkipsWithoutMembershipRows) {
   // countdown (burst_skips) without a group batch row.
   const auto& reg = oic::eval::ScenarioRegistry::builtin();
   oic::serve::ServiceConfig cfg;
-  cfg.workers = 1;
   oic::serve::Service svc(reg, cfg);
   std::vector<Response> out;
   const std::vector<double> x0(2, 0.0);
@@ -876,7 +917,6 @@ TEST(ServeServer, ResponsesCorrelateByRefAcrossInterleavedBatches) {
   // via await_any and correlated by ref alone (never arrival order).
   const auto& reg = oic::eval::ScenarioRegistry::builtin();
   oic::serve::ServiceConfig cfg;
-  cfg.workers = 1;
   oic::serve::Server server(reg, cfg);
   auto conn = server.connect();
   const std::vector<double> x0(2, 0.0);
@@ -924,7 +964,6 @@ TEST(ServeServer, TickThreadSurvivesDecideCloseBatch) {
   // std::terminate'd the process.  The server must answer and keep ticking.
   const auto& reg = oic::eval::ScenarioRegistry::builtin();
   oic::serve::ServiceConfig cfg;
-  cfg.workers = 1;
   oic::serve::Server server(reg, cfg);
   auto conn = server.connect();
   std::vector<Request> batch{open_req(1, 50, "toy2d", "periodic-2"),
@@ -947,7 +986,6 @@ TEST(ServeServer, TickThreadSurvivesDecideCloseBatch) {
 TEST(ServeServer, ConnectionsShareOneTickThread) {
   const auto& reg = oic::eval::ScenarioRegistry::builtin();
   oic::serve::ServiceConfig cfg;
-  cfg.workers = 1;
   oic::serve::Server server(reg, cfg);
   auto a = server.connect();
   auto b = server.connect();

@@ -93,7 +93,6 @@ TEST(ServeSocket, SocketAnswersMatchInProcessByteForByte) {
   std::ostringstream ref;
   {
     oic::serve::ServiceConfig cfg;
-    cfg.workers = 1;
     oic::serve::Service svc(reg, cfg);
     std::vector<Response> out;
     for (const std::vector<Request>& batch : batches) {
@@ -107,7 +106,6 @@ TEST(ServeSocket, SocketAnswersMatchInProcessByteForByte) {
   std::ostringstream wire;
   {
     oic::serve::ServiceConfig cfg;
-    cfg.workers = 1;
     oic::serve::Server server(reg, cfg);
     oic::serve::SocketListener listener(server, 0);
     oic::serve::SocketClient client("127.0.0.1", listener.port());
@@ -123,7 +121,6 @@ TEST(ServeSocket, SocketAnswersMatchInProcessByteForByte) {
 TEST(ServeSocket, MalformedConnectionDiesAloneServerSurvives) {
   const auto& reg = oic::eval::ScenarioRegistry::builtin();
   oic::serve::ServiceConfig cfg;
-  cfg.workers = 1;
   oic::serve::Server server(reg, cfg);
   oic::serve::SocketListener listener(server, 0);
 

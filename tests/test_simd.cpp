@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -338,6 +339,37 @@ TEST(SimdKernels, BatchMaxViolationEdgesAndNonFinite) {
         sc.batch_max_violation(a, b.data(), x.data(), batch, ldx, w1.data());
         vx.batch_max_violation(a, b.data(), x.data(), batch, ldx, w2.data());
         for (std::size_t r = 0; r < batch; ++r) ASSERT_BITEQ(w1[r], w2[r]);
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, BatchMaxViolationReportsNaNForNaNRows) {
+  // A state with a NaN coordinate must fail every `violation <= tol`
+  // membership test, so its max violation is NaN on every table (a NaN row
+  // in an AVX2 4-row block and one in the scalar tail), and the finite
+  // rows around it are untouched.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(707);
+  const Matrix a = random_matrix(rng, 6, 3);
+  const std::vector<double> b = random_buf(rng, 6);
+  std::vector<double> x = random_buf(rng, 9 * 3);
+  const std::vector<double> finite = x;
+  x[1 * 3 + 2] = nan;
+  x[8 * 3 + 0] = nan;
+  std::vector<double> ref(9);
+  table_for(simd::Isa::kScalar).batch_max_violation(a, b.data(), finite.data(), 9, 3,
+                                                    ref.data());
+  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+    if (isa == simd::Isa::kAvx2 && !have_avx2()) continue;
+    std::vector<double> w(9);
+    table_for(isa).batch_max_violation(a, b.data(), x.data(), 9, 3, w.data());
+    for (std::size_t r = 0; r < 9; ++r) {
+      if (r == 1 || r == 8) {
+        EXPECT_TRUE(std::isnan(w[r])) << "row " << r;
+        EXPECT_FALSE(w[r] <= 1e-6) << "row " << r;
+      } else {
+        EXPECT_BITEQ(w[r], ref[r]);
       }
     }
   }

@@ -38,7 +38,6 @@
 ///                         controller's ancillary u = K x, for capacity
 ///                         runs where client LP cost would mask the server)
 ///   --seed N              traffic seed               (default 20200406)
-///   --workers N           server pool, 0 = hardware  (default 0)
 ///   --tick-workers N      parallel tick group shards, 1 = serial tick,
 ///                         0 = hardware               (default 1)
 ///   --cert-dir DIR        certificate cache (cert::Store)
@@ -150,7 +149,7 @@ int main(int argc, char** argv) {
         "                   [--max-batch N] [--window N]\n"
         "                   [--transport inproc|socket]\n"
         "                   [--connect HOST:PORT] [--actuate rmpc|gain]\n"
-        "                   [--seed N] [--workers N] [--tick-workers N]\n"
+        "                   [--seed N] [--tick-workers N]\n"
         "                   [--cert-dir DIR] [--emit PATH] [--json PATH]\n"
         "Replays scenario-family traffic against an in-process monitor server\n"
         "(or, with --connect, an external oic_serve --listen) and reports\n"
@@ -187,6 +186,7 @@ int main(int argc, char** argv) {
   oic::cliutil::CommonOpts common;
   oic::cliutil::CommonFlagSet accept;
   accept.faults = false;  // the serve layer is fault-free (strict monitor)
+  accept.workers = false;  // server parallelism is --tick-workers
   if (!oic::cliutil::parse_common(args, "oic_loadgen", common, accept)) return 1;
   if (common.seeds.size() > 1) {
     std::fprintf(stderr, "oic_loadgen: --seed expects a single traffic seed\n");
@@ -195,7 +195,6 @@ int main(int argc, char** argv) {
   if (!common.seeds.empty()) cfg.seed = common.seeds.front();
   cfg.cert_dir = common.cert_dir;
   server_cfg.cert_dir = common.cert_dir;
-  server_cfg.workers = common.workers;
   if (!oic::cliutil::reject_unknown(args, "oic_loadgen")) return 1;
 
   try {

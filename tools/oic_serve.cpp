@@ -31,7 +31,6 @@
 ///   --port-file PATH    write the bound port (requires --listen)
 ///   --cert-dir DIR      certificate cache (cert::Store); enables hot
 ///                       reload of rewritten certificates
-///   --workers N         membership-check pool, 0 = hardware (default 0)
 ///   --tick-workers N    parallel tick group shards, 1 = serial tick,
 ///                       0 = hardware               (default 1)
 ///   --max-sessions N    session-table cap          (default 1048576)
@@ -69,9 +68,9 @@ std::string serve_json(const oic::serve::ServiceConfig& cfg, const char* transpo
   std::string& out = doc.body();
   oic::jsonout::append_format(
       out,
-      "  \"config\": {\"workers\": %zu, \"tick_workers\": %zu, "
+      "  \"config\": {\"tick_workers\": %zu, "
       "\"max_sessions\": %zu, \"transport\": \"%s\", \"cert_dir\": ",
-      cfg.workers, cfg.tick_workers, cfg.max_sessions, transport);
+      cfg.tick_workers, cfg.max_sessions, transport);
   oic::jsonout::append_string(out, cfg.cert_dir);
   out += "},\n";
   oic::jsonout::append_format(
@@ -118,7 +117,7 @@ int main(int argc, char** argv) {
     std::printf(
         "usage: oic_serve [--in PATH|-] [--out PATH|-] [--cert-dir DIR]\n"
         "                 [--listen PORT] [--port-file PATH]\n"
-        "                 [--workers N] [--tick-workers N]\n"
+        "                 [--tick-workers N]\n"
         "                 [--max-sessions N] [--json PATH]\n"
         "Reads `oic-serve v1` request batches from --in, answers each with a\n"
         "response batch on --out (lock-step), shuts down cleanly at EOF.\n"
@@ -141,9 +140,9 @@ int main(int argc, char** argv) {
   oic::cliutil::CommonFlagSet accept;
   accept.faults = false;  // the serve layer is fault-free (strict monitor)
   accept.seeds = false;   // the server is deterministic in its inputs
+  accept.workers = false;  // parallelism is --tick-workers
   if (!oic::cliutil::parse_common(args, "oic_serve", common, accept)) return 1;
   cfg.cert_dir = common.cert_dir;
-  cfg.workers = common.workers;
   if (!oic::cliutil::count_flag(args, "oic_serve", "max-sessions",
                                 cfg.max_sessions) ||
       !oic::cliutil::count_flag(args, "oic_serve", "tick-workers",
