@@ -100,34 +100,32 @@ std::unique_ptr<core::DrlPolicy> make_drl_policy(const PolicySpec& spec,
   // are small (a few hundred KB of text).  Greedy decisions are stateless,
   // so the policy is trivially reset()-complete (the parallel engine's
   // bit-parity requirement).
-  const std::string& text = spec.text;
   rl::AgentSnapshot snap = [&]() -> rl::AgentSnapshot {
     try {
       return rl::load_agent_file(spec.path);
     } catch (const Error& e) {
-      throw PreconditionError("policy '" + text + "': " + std::string(e.what()));
+      throw PreconditionError("policy '" + spec.text + "': " + std::string(e.what()));
     }
   }();
   const std::size_t state_dim = snap.net.sizes().front();
   // An empty scale is a documented format case ("no scaling"); a
   // non-empty one must match the network input.
   OIC_REQUIRE(snap.state_scale.empty() || snap.state_scale.size() == state_dim,
-              "policy '" + text + "': scale/network dimension mismatch");
+              "policy '" + spec.text + "': scale/network dimension mismatch");
   const std::size_t w_dim = state_dim / (snap.memory + 1);
   if (plant_id != nullptr) {
     if (!snap.plant.empty() && snap.plant != *plant_id) {
-      throw PreconditionError("policy '" + text + "': agent was trained on plant '" +
+      throw PreconditionError("policy '" + spec.text + "': agent was trained on plant '" +
                               snap.plant + "', not '" + *plant_id + "'");
     }
     if (w_dim != nx || state_dim != nx + snap.memory * w_dim) {
-      throw PreconditionError("policy '" + text +
-                              "': agent dimensions do not fit plant '" + *plant_id +
-                              "'");
+      throw PreconditionError("policy '" + spec.text +
+                              "': agent dimensions do not fit plant '" + *plant_id + "'");
     }
   }
   return core::DrlPolicy::from_network(
       std::make_shared<rl::Mlp>(std::move(snap.net)), snap.memory, w_dim,
-      std::move(snap.state_scale), text);
+      std::move(snap.state_scale), spec.text);
 }
 
 }  // namespace oic::eval
